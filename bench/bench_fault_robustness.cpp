@@ -158,7 +158,7 @@ math::MetricReport eval_dynamic_trr_stream(const bench::Splits& splits,
           std::vector<double> p(run.num_ticks());
           const auto& f = run.dataset.features();
           for (std::size_t t = 0; t < run.num_ticks(); ++t) {
-            p[t] = trr.step(f.row(t), reading_at[t]);
+            p[t] = trr.step(f.row(t), reading_at[t]).estimate;
             if (!std::isfinite(p[t])) ++fold_nans[fold];
           }
           bench::accumulate_restored(run, p, truth, pred,

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
           for (std::size_t t = 0; t < test.num_ticks(); ++t) {
             std::optional<double> reading;
             if (test.measured[t]) reading = test.dataset.target("P_NODE")[t];
-            const double e = trr.step(features.row(t), reading);
+            const double e = trr.step(features.row(t), reading).estimate;
             if (!test.measured[t]) {
               truth.push_back(test.truth[t].p_node_w);
               pred.push_back(e);

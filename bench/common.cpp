@@ -318,7 +318,7 @@ math::MetricReport eval_dynamic_trr(const Splits& splits, const Options& opt) {
       for (std::size_t t = 0; t < run.num_ticks(); ++t) {
         std::optional<double> reading;
         if (run.measured[t]) reading = run.dataset.target("P_NODE")[t];
-        p[t] = trr.step(f.row(t), reading);
+        p[t] = trr.step(f.row(t), reading).estimate;
       }
       accumulate_restored(run, p, truth, pred, split.test_score_start[i]);
     }

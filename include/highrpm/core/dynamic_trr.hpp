@@ -9,8 +9,10 @@
 // (the active-learning behaviour of §4.1/§6.4.5: fine-tune < 2 s).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "highrpm/data/window.hpp"
 #include "highrpm/ml/rnn.hpp"
@@ -80,11 +82,19 @@ class DynamicTrr {
   // --- streaming interface ---
   /// Reset the stream state (new program / new node).
   void reset_stream();
+  /// What step_commit decided for one tick.
+  struct Commit {
+    double estimate = 0.0;  // the node-power estimate for this tick
+    /// True iff an IM reading was accepted and superseded the prediction
+    /// (estimate is then the reading itself); false on predicted ticks and
+    /// on ticks whose reading was rejected as implausible or stuck.
+    bool accepted = false;
+  };
+
   /// Feed one tick: the sampled PMC rates and, if this tick carried an IM
   /// reading, its value. Returns the node-power estimate for this tick
-  /// (the measured value itself when one is available).
-  double step(std::span<const double> pmcs,
-              std::optional<double> im_reading);
+  /// (the measured value itself when the reading is accepted).
+  Commit step(std::span<const double> pmcs, std::optional<double> im_reading);
 
   /// Everything step() decides before the model runs, carried from
   /// step_prepare to step_commit. `rows` is the window fill this tick's
@@ -97,24 +107,29 @@ class DynamicTrr {
   };
 
   /// Phase 1 of step(): claim this tick's ring slot, build its
-  /// [PMC..., P'_prev] row in the SoA window, and run input validation /
-  /// degradation. After it returns, pack_window_into() yields the
-  /// rows x (F+1) window to predict over. Exactly one prepare must be
-  /// followed by exactly one step_commit before the next prepare on the
-  /// same instance (the fleet stepper interleaves prepares across *nodes*,
-  /// never within one).
+  /// [PMC..., P'_prev] row in the SoA window (invalidating the slot's
+  /// cached projection), and run input validation / degradation. After it
+  /// returns, pack_projection_into() yields the window to predict over.
+  /// Exactly one prepare must be followed by exactly one step_commit before
+  /// the next prepare on the same instance (the fleet stepper interleaves
+  /// prepares across *nodes*, never within one).
   StepPrep step_prepare(std::span<const double> pmcs,
                         std::optional<double> im_reading);
-  /// Copy the current ring window (oldest row first) into consecutive rows
-  /// of `out` starting at `row_offset`. `out` must already be sized with
-  /// out.cols() == F+1 and row_offset + stream_window_size() rows. This is
-  /// how the fleet stepper packs many nodes' windows into one batch matrix.
-  void pack_window_into(math::Matrix& out, std::size_t row_offset) const;
+  /// Copy the current window's layer-0 input projections (oldest row
+  /// first) into consecutive rows of `out` starting at `row_offset`, first
+  /// reprojecting any ring slot whose cached projection is stale (rewritten
+  /// since, or stamped with an older model generation). `out` must already
+  /// be sized with out.cols() == model().projection_dim() and
+  /// row_offset + stream_window_size() rows. This is how the fleet stepper
+  /// packs many nodes' windows into one batch for
+  /// SequenceRegressor::predict_projected_into; no allocation.
+  void pack_projection_into(math::Matrix& out, std::size_t row_offset);
   /// Phase 2 of step() for callers that predicted the window themselves
   /// (batched): apply validation clamps, stuck-sensor logic, measurement
   /// supersede + online fine-tune to the model's raw estimate for the
-  /// newest row, record bookkeeping, and return the final estimate.
-  double step_commit(const StepPrep& prep, double raw_estimate);
+  /// newest row, record bookkeeping, and return the final estimate and
+  /// whether the tick's reading was accepted.
+  Commit step_commit(const StepPrep& prep, double raw_estimate);
   /// The predict leg of step() on this instance's own model — for
   /// unbatched callers between step_prepare and step_commit. Zero heap
   /// allocations once the member scratch is warm.
@@ -169,6 +184,11 @@ class DynamicTrr {
     return (win_start_ + i) % cfg_.miss_interval;
   }
 
+  /// Copy the current raw ring window (oldest row first) into consecutive
+  /// rows of `out` starting at `row_offset` (out.cols() == F+1) — the
+  /// online fine-tune's sample.
+  void pack_window_into(math::Matrix& out, std::size_t row_offset) const;
+
   /// False when the reading is non-finite or outside [p_bottom, p_upper].
   bool plausible_reading(double value) const;
   /// Stuck-sensor tracking; true when the reading should be rejected.
@@ -185,17 +205,26 @@ class DynamicTrr {
   /// SoA ring storage (capacity miss_interval once streaming): one matrix
   /// row per window step = [PMC..., P'_prev], parallel per-slot estimate
   /// and cleanliness arrays, plus cursor/fill. Structure-of-arrays keeps
-  /// the rows contiguous so pack_window_into is a pair of row-range copies
+  /// the rows contiguous so the window packs are row-range copies
   /// instead of per-slot pointer chasing.
   math::Matrix win_rows_;
   std::vector<double> win_est_;
   std::vector<unsigned char> win_clean_;
   std::size_t win_start_ = 0;
   std::size_t win_count_ = 0;
+  /// Ring projection cache (DESIGN.md §8): row s holds model_'s layer-0
+  /// input projection of win_rows_ row s, valid iff win_zx_gen_[s] equals
+  /// model_.generation() (0 = stale; a fitted model's generation is >= 1).
+  /// step_prepare invalidates the slot it writes, and every fit bumps the
+  /// generation, so a slot is reprojected only when its row or the
+  /// weights changed.
+  math::Matrix win_zx_;
+  std::vector<std::uint64_t> win_zx_gen_;
   /// Per-tick scratch, reused across steps so the steady-state predict path
   /// performs zero heap allocations once warm.
-  math::Matrix steps_scratch_;
-  std::vector<double> preds_scratch_;
+  std::vector<double> x_scratch_;
+  math::Matrix zx_scratch_;
+  math::Matrix preds_scratch_;
   ml::SequenceRegressor::Workspace ws_;
   double prev_estimate_ = 0.0;
   bool have_prev_ = false;

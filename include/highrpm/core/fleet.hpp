@@ -78,9 +78,9 @@ class FleetStepper {
   /// size, further steps through it perform zero heap allocations.
   struct Cohort {
     math::Matrix rows;       // L x F substituted PMC rows
-    math::Matrix win_batch;  // (L*T) x (F+1) packed ring windows
+    math::Matrix zx_batch;   // (L*T) x gates packed ring projections
     math::Matrix rnn_out;    // L x T batched RNN predictions
-    ml::SequenceRegressor::BatchWorkspace rnn_ws;
+    ml::SequenceRegressor::Workspace rnn_ws;
     std::vector<DynamicTrr::StepPrep> preps;
     std::vector<double> raw;     // raw RNN estimate per lane
     std::vector<double> node_w;  // committed node power per lane

@@ -42,42 +42,27 @@ class SequenceRegressor {
   void fit(std::span<const data::SequenceSample> samples, bool reset = true,
            std::size_t epochs_override = 0);
 
-  /// Caller-owned reusable buffers for the allocation-free predict path.
+  /// Caller-owned reusable buffers for the allocation-free predict paths.
   /// A workspace belongs to one caller at a time (confine it to a single
-  /// thread); reuse it across calls so that after the first predict_into at
-  /// a given model shape, subsequent calls perform zero heap allocations.
+  /// thread); reuse it across calls so that once it has seen the largest
+  /// (lanes, T) shape, further predicts perform zero heap allocations.
   struct Workspace {
-    /// Per-layer cell-step scratch.
+    /// Cell-step scratch.
     struct StepScratch {
       std::vector<double> z;      // gate pre-activations
       std::vector<double> gates;  // gate post-activations
       std::vector<double> rh;     // GRU reset-gated hidden state
     };
-    std::vector<StepScratch> layers;
-    math::Matrix h;         // layers x units hidden state
-    math::Matrix c;         // layers x units LSTM cell state
-    std::vector<double> x;  // current step input
-    // Layer-outer predict buffers: the standardized window, the bias-folded
-    // input projection of the current layer, and ping-pong per-step output
-    // sequences (layer l writes one, layer l+1 reads it).
-    math::Matrix xs;      // T x F
-    math::Matrix zx;      // T x gates
-    math::Matrix hseq_a;  // T x units
-    math::Matrix hseq_b;  // T x units
-  };
-
-  /// Caller-owned buffers for the cross-lane batched predict path. One
-  /// workspace per caller (confine to a single thread); zero heap
-  /// allocations once warm at a given (lanes, T) shape.
-  struct BatchWorkspace {
-    math::Matrix xs;      // (lanes*T) x F standardized windows
-    math::Matrix zx;      // (lanes*T) x gates input projection
-    math::Matrix h;       // lanes x units, current layer's hidden state
-    math::Matrix c;       // lanes x units, current layer's LSTM cell state
-    math::Matrix zu;      // lanes x gates recurrent projection at step t
-    math::Matrix hseq_a;  // (lanes*T) x units ping-pong layer outputs
-    math::Matrix hseq_b;  // (lanes*T) x units
-    Workspace::StepScratch scratch;
+    StepScratch scratch;
+    std::vector<double> x;  // one standardized input row
+    math::Matrix zx0;       // (lanes*T) x gates layer-0 input projection
+    math::Matrix zx;        // (lanes*T) x gates layer-l (l >= 1) projection
+    math::Matrix h;         // lanes x units, current layer's hidden state
+    math::Matrix c;         // lanes x units, current layer's LSTM cell state
+    math::Matrix zu;        // lanes x gates recurrent projection at step t
+    math::Matrix hseq_a;    // (lanes*T) x units ping-pong layer outputs
+    math::Matrix hseq_b;    // (lanes*T) x units
+    math::Matrix out;       // 1 x T staging for predict_into
   };
 
   /// Per-step predictions for a T x F window (any T >= 1).
@@ -91,14 +76,38 @@ class SequenceRegressor {
   /// Batched predict_into over `lanes` independent windows of equal length,
   /// packed lane-major into `windows` ((lanes*T) x F, lane i's window in
   /// rows [i*T, (i+1)*T)). `out` becomes lanes x T, row i bit-identical to
-  /// predict_into on lane i's window alone: each layer runs one bias-folded
-  /// input-projection GEMM over all lanes*T rows and one recurrent GEMM per
-  /// time step over all lanes, and every per-cell expression keeps the
-  /// scalar path's operand order and association. No allocation once the
-  /// workspace is warm; thread-safe on a const model with per-caller
-  /// workspaces.
+  /// predict_into on lane i's window alone.
   void predict_batch_into(const math::Matrix& windows, std::size_t lanes,
-                          math::Matrix& out, BatchWorkspace& ws) const;
+                          math::Matrix& out, Workspace& ws) const;
+
+  /// Layer-0 input projection of one raw input row, the part of a predict
+  /// that depends on that row alone: the row is standardized into `x`
+  /// (input_dim() scratch) and zx[j] = b[j] + dot(x, W.row(j)) for every
+  /// gate j (zx.size() == projection_dim()). Scaling and the bias-first dot
+  /// keep the operand order and association of the predict paths, so a
+  /// cached row is bit-identical to recomputing it — as long as
+  /// generation() has not moved since.
+  void project_input_row_into(std::span<const double> row,
+                              std::span<double> zx,
+                              std::span<double> x) const;
+  /// The recurrence every predict runs, from layer-0 projections: `zx0`
+  /// holds project_input_row_into rows for `lanes` windows of equal length
+  /// T, lane-major ((lanes*T) x projection_dim(), lane i in rows
+  /// [i*T, (i+1)*T)). Each layer l >= 1 runs one bias-folded input GEMM
+  /// over all lanes*T rows, every layer one recurrent GEMM per time step
+  /// over all lanes; every per-cell expression keeps one operand order and
+  /// association, so lane i's row of `out` (lanes x T) does not depend on
+  /// which other lanes share the call. `zx0` may be ws.zx0.
+  void predict_projected_into(const math::Matrix& zx0, std::size_t lanes,
+                              math::Matrix& out, Workspace& ws) const;
+
+  /// Weight generation: 0 until the first fit(), then bumped by every fit
+  /// (training, warm-start fine-tune, online fine-tune) — the staleness
+  /// stamp for cached project_input_row_into rows. Copies carry it along
+  /// with the weights it stamps.
+  std::uint64_t generation() const noexcept { return generation_; }
+  /// Width of one input projection row (the stacked gate count).
+  std::size_t projection_dim() const noexcept { return gate_count(); }
 
   bool fitted() const noexcept { return fitted_; }
   const RnnConfig& config() const noexcept { return cfg_; }
@@ -109,6 +118,10 @@ class SequenceRegressor {
   }
 
  private:
+  /// Test-only access to the direct (time-outer, gate-by-gate) forward
+  /// pass — the reference the projection path is checked against.
+  friend struct SequenceRegressorTestPeer;
+
   struct CellParams {
     // Gate-stacked weights: LSTM rows = 4*units (i,f,g,o); GRU rows = 3*units
     // (z,r,n). w: gates x input_dim, u: gates x units, b: gates.
@@ -138,9 +151,6 @@ class SequenceRegressor {
   std::size_t gate_count() const {
     return (cfg_.cell == CellType::kLstm ? 4 : 3) * cfg_.units;
   }
-  /// Size the workspace buffers for this model's shape and zero the
-  /// recurrent state. No allocation when the workspace is already warm.
-  void prepare(Workspace& ws) const;
   /// One cell step, in place: h_inout holds h_{t-1} on entry and h_t on
   /// return (safe because every gate pre-activation is fully computed from
   /// h_{t-1} before any element of h is overwritten, and the GRU update
@@ -151,15 +161,16 @@ class SequenceRegressor {
                       std::span<double> h_inout, std::span<double> c_inout,
                       Workspace::StepScratch& scratch) const;
   /// cell_step_into with the input projection `b + w·x` already folded into
-  /// `zx` (one GEMM row per step) and, optionally, the recurrent projection
-  /// `u·h_{t-1}` precomputed in `zu` (pass empty to compute the per-gate
-  /// dots here). Gate arithmetic keeps cell_step_into's operand order and
-  /// association, so the updated h/c are bit-identical to it.
+  /// `zx` (one GEMM row per step) and the recurrent projection `u·h_{t-1}`
+  /// precomputed in `zu`. Gate arithmetic keeps cell_step_into's operand
+  /// order and association, so the updated h/c are bit-identical to it.
   void cell_step_preproj_into(const CellParams& p, std::span<const double> zx,
                               std::span<const double> zu,
                               std::span<double> h_inout,
                               std::span<double> c_inout,
                               Workspace::StepScratch& scratch) const;
+  /// Project every row of `rows` into ws.zx0.
+  void project_rows_into(const math::Matrix& rows, Workspace& ws) const;
   /// Forward a whole window, returning per-step head outputs (scaled space);
   /// caches are per layer per step when requested (training path).
   std::vector<double> forward(const math::Matrix& steps_scaled,
@@ -177,6 +188,7 @@ class SequenceRegressor {
   data::StandardScaler x_scaler_;
   data::TargetScaler y_scaler_;
   std::uint64_t adam_t_ = 0;
+  std::uint64_t generation_ = 0;
   bool fitted_ = false;
 };
 

@@ -5,7 +5,11 @@
 // opened inside thread-pool workers attach to the worker's own stack — a
 // parallel_for task timing itself never interleaves with the caller's span.
 // Span::depth() exposes the current thread's nesting level (0 outside any
-// span), which tests use to prove nesting and pool-awareness.
+// span), which tests use to prove nesting and pool-awareness. A span built
+// with the kUnnested tag times its scope without opening a level: a
+// dispatcher such as ThreadPool::run times the job it runs this way, so
+// the tasks it executes on the calling thread nest under the caller's own
+// spans, exactly like the tasks a pool worker runs.
 //
 // Cost model: when the registry's runtime switch is off, constructing a
 // span is one relaxed atomic load and no clock read. When on, it is two
@@ -31,6 +35,11 @@
 
 namespace highrpm::obs {
 
+/// Tag selecting the Span constructor that records a duration without
+/// pushing a nesting level (see the header comment).
+struct Unnested {};
+inline constexpr Unnested kUnnested{};
+
 #if HIGHRPM_OBS_ENABLED
 
 inline namespace obs_enabled {
@@ -45,10 +54,17 @@ class Span {
  public:
   /// Time into an already-resolved histogram (the hot-path form — pair it
   /// with a function-local static Histogram& lookup).
-  explicit Span(Histogram& hist) noexcept {
+  explicit Span(Histogram& hist) noexcept : Span(hist, kUnnested) {
+    if (hist_ == nullptr) return;
+    nested_ = true;
+    ++detail::t_span_depth;
+  }
+
+  /// Time into `hist` without opening a nesting level: depth() inside the
+  /// scope stays what it was outside it.
+  Span(Histogram& hist, Unnested) noexcept {
     if (!Registry::instance().enabled()) return;
     hist_ = &hist;
-    ++detail::t_span_depth;
     start_ = std::chrono::steady_clock::now();
   }
 
@@ -60,7 +76,7 @@ class Span {
   ~Span() {
     if (hist_ == nullptr) return;
     hist_->record(elapsed_ns());
-    --detail::t_span_depth;
+    if (nested_) --detail::t_span_depth;
   }
 
   Span(const Span&) = delete;
@@ -83,6 +99,7 @@ class Span {
 
  private:
   Histogram* hist_ = nullptr;
+  bool nested_ = false;
   std::chrono::steady_clock::time_point start_{};
 };
 
@@ -96,6 +113,7 @@ inline namespace obs_disabled {
 class Span {
  public:
   explicit Span(Histogram&) noexcept {}
+  Span(Histogram&, Unnested) noexcept {}
   explicit Span(std::string_view) noexcept {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

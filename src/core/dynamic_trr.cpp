@@ -133,6 +133,8 @@ void DynamicTrr::reset_stream() {
   // width is known (post-train); otherwise the first step sizes it.
   win_rows_.resize(cfg_.miss_interval, n_features_ > 0 ? n_features_ + 1 : 0);
   std::fill(win_rows_.flat().begin(), win_rows_.flat().end(), 0.0);
+  win_zx_.resize(cfg_.miss_interval, model_.projection_dim());
+  win_zx_gen_.assign(cfg_.miss_interval, 0);
   win_est_.assign(cfg_.miss_interval, 0.0);
   win_clean_.assign(cfg_.miss_interval, 1);
   win_start_ = 0;
@@ -201,6 +203,7 @@ DynamicTrr::StepPrep DynamicTrr::step_prepare(std::span<const double> pmcs,
     // Legacy model with no captured feature width: size the ring lazily.
     win_rows_.resize(cfg_.miss_interval, pmcs.size() + 1);
     std::fill(win_rows_.flat().begin(), win_rows_.flat().end(), 0.0);
+    std::fill(win_zx_gen_.begin(), win_zx_gen_.end(), 0);
   }
   if (win_count_ < cfg_.miss_interval) {
     prep.slot = ring_index(win_count_);
@@ -213,6 +216,7 @@ DynamicTrr::StepPrep DynamicTrr::step_prepare(std::span<const double> pmcs,
   const auto feat = win_rows_.row(prep.slot);
   std::copy(pmcs.begin(), pmcs.end(), feat.begin());
   win_est_[prep.slot] = 0.0;
+  win_zx_gen_[prep.slot] = 0;  // the row changes below; reproject on pack
 
   // --- input validation / graceful degradation (no-op on clean input) ---
   bool clean_row = true;
@@ -268,14 +272,29 @@ void DynamicTrr::pack_window_into(math::Matrix& out,
   }
 }
 
+void DynamicTrr::pack_projection_into(math::Matrix& out,
+                                      std::size_t row_offset) {
+  const std::uint64_t gen = model_.generation();
+  x_scratch_.resize(win_rows_.cols());
+  for (std::size_t r = 0; r < win_count_; ++r) {
+    const std::size_t s = ring_index(r);
+    const auto zx = win_zx_.row(s);
+    if (win_zx_gen_[s] != gen) {
+      model_.project_input_row_into(win_rows_.row(s), zx, x_scratch_);
+      win_zx_gen_[s] = gen;
+    }
+    std::copy(zx.begin(), zx.end(), out.row(row_offset + r).begin());
+  }
+}
+
 double DynamicTrr::predict_prepared() {
   // Predict over the current (possibly still-filling) window; the last
   // step's output is this tick's estimate. All buffers are member scratch —
   // after warm-up this path performs zero heap allocations.
-  steps_scratch_.resize(win_count_, win_rows_.cols());
-  pack_window_into(steps_scratch_, 0);
-  model_.predict_into(steps_scratch_, preds_scratch_, ws_);
-  return preds_scratch_.back();
+  zx_scratch_.resize(win_count_, model_.projection_dim());
+  pack_projection_into(zx_scratch_, 0);
+  model_.predict_projected_into(zx_scratch_, 1, preds_scratch_, ws_);
+  return preds_scratch_(0, win_count_ - 1);
 }
 
 double DynamicTrr::predict_prepared_cheap(const StepPrep& prep) const {
@@ -298,7 +317,8 @@ void DynamicTrr::set_use_cheap(bool on) {
   use_cheap_ = on;
 }
 
-double DynamicTrr::step_commit(const StepPrep& prep, double raw_estimate) {
+DynamicTrr::Commit DynamicTrr::step_commit(const StepPrep& prep,
+                                           double raw_estimate) {
   static obs::Counter& rejected_total =
       obs::Registry::instance().counter("core.dynamic_trr.rejected_readings");
 
@@ -356,11 +376,11 @@ double DynamicTrr::step_commit(const StepPrep& prep, double raw_estimate) {
   win_est_[prep.slot] = estimate;
   prev_estimate_ = estimate;
   have_prev_ = true;
-  return estimate;
+  return {estimate, have_reading};
 }
 
-double DynamicTrr::step(std::span<const double> pmcs,
-                        std::optional<double> im_reading) {
+DynamicTrr::Commit DynamicTrr::step(std::span<const double> pmcs,
+                                    std::optional<double> im_reading) {
   static obs::Histogram& step_hist =
       obs::Registry::instance().histogram("core.dynamic_trr.step_ns");
   const obs::Span span(step_hist);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "highrpm/math/float_eq.hpp"
 #include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
 #include "highrpm/runtime/parallel_for.hpp"
@@ -208,12 +207,15 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
     }
   }
   if (shared_rnn_ && lockstep && window > 0 && !any_cheap) {
-    ss.win_batch.resize(lanes * window, f + 1);
+    // Each lane's ring caches its rows' layer-0 projections, so a steady
+    // tick projects only the row step_prepare just wrote; the batch starts
+    // at the recurrence.
+    ss.zx_batch.resize(lanes * window, shared_model_.projection_dim());
     for (std::size_t li = 0; li < lanes; ++li) {
-      lanes_[lane_ids[li]].trr.pack_window_into(ss.win_batch, li * window);
+      lanes_[lane_ids[li]].trr.pack_projection_into(ss.zx_batch, li * window);
     }
-    shared_model_.predict_batch_into(ss.win_batch, lanes, ss.rnn_out,
-                                     ss.rnn_ws);
+    shared_model_.predict_projected_into(ss.zx_batch, lanes, ss.rnn_out,
+                                         ss.rnn_ws);
     for (std::size_t li = 0; li < lanes; ++li) {
       ss.raw[li] = ss.rnn_out(li, window - 1);
     }
@@ -229,12 +231,12 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
   // supersede + fine-tune) and the measured flag.
   for (std::size_t li = 0; li < lanes; ++li) {
     Lane& lane = lanes_[lane_ids[li]];
-    const double node_w = lane.trr.step_commit(ss.preps[li], ss.raw[li]);
+    const DynamicTrr::Commit commit =
+        lane.trr.step_commit(ss.preps[li], ss.raw[li]);
+    const double node_w = commit.estimate;
     ss.node_w[li] = node_w;
     out[li].node_w = node_w;
-    const std::optional<double>& r = readings[li];
-    out[li].measured = r.has_value() && std::isfinite(*r) &&
-                       math::exact_eq(node_w, *r);
+    out[li].measured = commit.accepted;
     // Adaptive sampling: same observation the serial facade makes — the
     // committed estimate plus the substituted row, measured ticks excluded
     // (a reading superseding the prediction would score the model-vs-meter

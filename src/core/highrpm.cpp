@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "highrpm/math/float_eq.hpp"
 #include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
 
@@ -266,11 +265,11 @@ PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
   if (im_reading && !std::isfinite(*im_reading)) im_reading.reset();
 
   PowerEstimate est;
-  est.node_w = dynamic_trr_.step(row, im_reading);
   // DynamicTrr may reject an implausible reading; only report measured when
   // the reading actually superseded the prediction.
-  est.measured =
-      im_reading.has_value() && math::exact_eq(est.node_w, *im_reading);
+  const DynamicTrr::Commit commit = dynamic_trr_.step(row, im_reading);
+  est.node_w = commit.estimate;
+  est.measured = commit.accepted;
   const auto comp = srr_.predict_one(row, est.node_w, srr_scratch_);
   est.cpu_w = comp.cpu_w;
   est.mem_w = comp.mem_w;

@@ -72,22 +72,6 @@ void SequenceRegressor::initialize(std::size_t in_dim, math::Rng& rng) {
   adam_t_ = 0;
 }
 
-void SequenceRegressor::prepare(Workspace& ws) const {
-  const std::size_t H = cfg_.units;
-  const std::size_t g = gate_count();
-  ws.layers.resize(cfg_.layers);
-  for (auto& s : ws.layers) {
-    s.z.resize(g);
-    s.gates.resize(g);
-    s.rh.resize(H);
-  }
-  ws.h.resize(cfg_.layers, H);
-  ws.c.resize(cfg_.layers, H);
-  std::fill(ws.h.flat().begin(), ws.h.flat().end(), 0.0);
-  std::fill(ws.c.flat().begin(), ws.c.flat().end(), 0.0);
-  ws.x.resize(in_dim_);
-}
-
 void SequenceRegressor::cell_step_into(const CellParams& p,
                                        std::span<const double> x,
                                        std::span<double> h_inout,
@@ -137,16 +121,13 @@ void SequenceRegressor::cell_step_preproj_into(
     Workspace::StepScratch& scratch) const {
   const std::size_t H = cfg_.units;
   const std::size_t g = gate_count();
-  const bool have_zu = !zu.empty();
   auto& z = scratch.z;
   auto& gates = scratch.gates;
   if (cfg_.cell == CellType::kLstm) {
     // zx already holds `b + w·x`; adding the recurrent term second keeps
     // cell_step_into's `(b + w·x) + u·h` association. zu(i) = h·u.row(i)
     // is the commuted dot — bit-equal to u.row(i)·h.
-    for (std::size_t j = 0; j < g; ++j) {
-      z[j] = zx[j] + (have_zu ? zu[j] : math::dot(p.u.row(j), h_inout));
-    }
+    for (std::size_t j = 0; j < g; ++j) z[j] = zx[j] + zu[j];
     for (std::size_t j = 0; j < H; ++j) gates[j] = sigmoid(z[j]);            // i
     for (std::size_t j = H; j < 2 * H; ++j) gates[j] = sigmoid(z[j]);        // f
     for (std::size_t j = 2 * H; j < 3 * H; ++j) gates[j] = std::tanh(z[j]);  // g
@@ -159,9 +140,7 @@ void SequenceRegressor::cell_step_preproj_into(
   }
   // GRU: z (update), r (reset), n (candidate). The candidate's recurrent
   // term reads the reset-gated state, so it always runs per-gate dots.
-  for (std::size_t j = 0; j < 2 * H; ++j) {
-    z[j] = zx[j] + (have_zu ? zu[j] : math::dot(p.u.row(j), h_inout));
-  }
+  for (std::size_t j = 0; j < 2 * H; ++j) z[j] = zx[j] + zu[j];
   for (std::size_t j = 0; j < H; ++j) gates[j] = sigmoid(z[j]);      // z
   for (std::size_t j = H; j < 2 * H; ++j) gates[j] = sigmoid(z[j]);  // r
   auto& rh = scratch.rh;
@@ -179,19 +158,25 @@ std::vector<double> SequenceRegressor::forward(
     const math::Matrix& steps_scaled,
     std::vector<std::vector<StepCache>>* caches) const {
   const std::size_t T = steps_scaled.rows();
-  Workspace ws;
-  prepare(ws);
+  const std::size_t H = cfg_.units;
+  Workspace::StepScratch scratch;
+  scratch.z.resize(gate_count());
+  scratch.gates.resize(gate_count());
+  scratch.rh.resize(H);
+  math::Matrix hs(cfg_.layers, H);
+  math::Matrix cs(cfg_.layers, H);
+  std::vector<double> xt;
   if (caches) {
     caches->assign(cfg_.layers, std::vector<StepCache>(T));
   }
   std::vector<double> out(T);
   const bool lstm = cfg_.cell == CellType::kLstm;
   for (std::size_t t = 0; t < T; ++t) {
-    ws.x.assign(steps_scaled.row(t).begin(), steps_scaled.row(t).end());
-    std::span<const double> x = ws.x;
+    xt.assign(steps_scaled.row(t).begin(), steps_scaled.row(t).end());
+    std::span<const double> x = xt;
     for (std::size_t l = 0; l < cfg_.layers; ++l) {
-      const auto h = ws.h.row(l);
-      const auto c = ws.c.row(l);
+      const auto h = hs.row(l);
+      const auto c = cs.row(l);
       if (caches) {
         // Capture the step inputs before the in-place update overwrites
         // h/c; outputs are copied out after.
@@ -200,16 +185,16 @@ std::vector<double> SequenceRegressor::forward(
         cache.h_prev.assign(h.begin(), h.end());
         if (lstm) cache.c_prev.assign(c.begin(), c.end());
       }
-      cell_step_into(cells_[l], x, h, c, ws.layers[l]);
+      cell_step_into(cells_[l], x, h, c, scratch);
       if (caches) {
         StepCache& cache = (*caches)[l][t];
-        cache.gates = ws.layers[l].gates;
+        cache.gates = scratch.gates;
         if (lstm) cache.c.assign(c.begin(), c.end());
         cache.h.assign(h.begin(), h.end());
       }
       x = h;
     }
-    out[t] = head_.b + math::dot(head_.w, ws.h.row(cfg_.layers - 1));
+    out[t] = head_.b + math::dot(head_.w, hs.row(cfg_.layers - 1));
   }
   return out;
 }
@@ -219,6 +204,9 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
   if (samples.empty()) {
     throw std::invalid_argument("SequenceRegressor::fit: no samples");
   }
+  // Every fit may move the weights or the input scaler: cached input
+  // projections stamped with an older generation are stale from here on.
+  ++generation_;
   const std::size_t F = samples[0].steps.cols();
   math::Rng rng(cfg_.seed + (reset ? 0 : 1 + adam_t_));
   if (reset || !fitted_) {
@@ -462,70 +450,77 @@ std::vector<double> SequenceRegressor::predict(const math::Matrix& steps) const 
 void SequenceRegressor::predict_into(const math::Matrix& steps,
                                      std::vector<double>& out,
                                      Workspace& ws) const {
-  if (!fitted_) throw std::logic_error("SequenceRegressor: not fitted");
-  if (steps.cols() != in_dim_) {
-    throw std::invalid_argument("SequenceRegressor::predict: width mismatch");
-  }
-  const std::size_t T = steps.rows();
-  prepare(ws);
-  ws.xs.resize(T, in_dim_);
-  for (std::size_t t = 0; t < T; ++t) {
-    x_scaler_.transform_row_into(steps.row(t), ws.xs.row(t));
-  }
-  // Layer-outer, time-inner: each layer's input projection over the whole
-  // window is one bias-folded GEMM; only the recurrent term runs
-  // sequentially in t. Per-cell arithmetic keeps cell_step_into's operand
-  // order, so outputs match the time-outer formulation bit for bit.
-  const math::Matrix* xin = &ws.xs;
-  for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    const CellParams& p = cells_[l];
-    math::matmul_nt_bias_into(*xin, p.w, p.b, ws.zx);
-    math::Matrix& hout = (l % 2 == 0) ? ws.hseq_a : ws.hseq_b;
-    hout.resize(T, cfg_.units);
-    const auto h = ws.h.row(l);
-    const auto c = ws.c.row(l);
-    for (std::size_t t = 0; t < T; ++t) {
-      cell_step_preproj_into(p, ws.zx.row(t), {}, h, c, ws.layers[l]);
-      std::copy(h.begin(), h.end(), hout.row(t).begin());
-    }
-    xin = &hout;
-  }
-  out.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    out[t] = y_scaler_.inverse_one(head_.b + math::dot(head_.w, xin->row(t)));
-  }
+  project_rows_into(steps, ws);
+  predict_projected_into(ws.zx0, 1, ws.out, ws);
+  const auto row = ws.out.row(0);
+  out.assign(row.begin(), row.end());
 }
 
 void SequenceRegressor::predict_batch_into(const math::Matrix& windows,
                                            std::size_t lanes, math::Matrix& out,
-                                           BatchWorkspace& ws) const {
+                                           Workspace& ws) const {
+  project_rows_into(windows, ws);
+  predict_projected_into(ws.zx0, lanes, out, ws);
+}
+
+void SequenceRegressor::project_input_row_into(std::span<const double> row,
+                                               std::span<double> zx,
+                                               std::span<double> x) const {
+  x_scaler_.transform_row_into(row, x);
+  const CellParams& p = cells_[0];
+  // bias[j] first, dot second, x on the left: the cell expression of
+  // matmul_nt_bias_into, which runs the layer l >= 1 projections.
+  for (std::size_t j = 0; j < zx.size(); ++j) {
+    zx[j] = p.b[j] + math::dot(x, p.w.row(j));
+  }
+}
+
+void SequenceRegressor::project_rows_into(const math::Matrix& rows,
+                                          Workspace& ws) const {
   if (!fitted_) throw std::logic_error("SequenceRegressor: not fitted");
-  if (windows.cols() != in_dim_) {
+  if (rows.cols() != in_dim_) {
     throw std::invalid_argument("SequenceRegressor::predict: width mismatch");
   }
-  if (lanes == 0 || windows.rows() % lanes != 0) {
-    throw std::invalid_argument(
-        "SequenceRegressor::predict_batch: rows must be lanes * T");
+  ws.x.resize(in_dim_);
+  ws.zx0.resize(rows.rows(), gate_count());
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    project_input_row_into(rows.row(r), ws.zx0.row(r), ws.x);
   }
-  const std::size_t T = windows.rows() / lanes;
+}
+
+void SequenceRegressor::predict_projected_into(const math::Matrix& zx0,
+                                               std::size_t lanes,
+                                               math::Matrix& out,
+                                               Workspace& ws) const {
+  if (!fitted_) throw std::logic_error("SequenceRegressor: not fitted");
+  if (zx0.cols() != gate_count()) {
+    throw std::invalid_argument(
+        "SequenceRegressor::predict_projected: projection width mismatch");
+  }
+  if (lanes == 0 || zx0.rows() % lanes != 0) {
+    throw std::invalid_argument(
+        "SequenceRegressor::predict_projected: rows must be lanes * T");
+  }
+  const std::size_t T = zx0.rows() / lanes;
   const std::size_t H = cfg_.units;
   const std::size_t g = gate_count();
   ws.scratch.z.resize(g);
   ws.scratch.gates.resize(g);
   ws.scratch.rh.resize(H);
-  ws.xs.resize(windows.rows(), in_dim_);
-  for (std::size_t r = 0; r < windows.rows(); ++r) {
-    x_scaler_.transform_row_into(windows.row(r), ws.xs.row(r));
-  }
-  // Same layer-outer structure as predict_into, with the lane dimension
-  // folded in: one input-projection GEMM per layer over all lanes*T rows,
-  // one recurrent GEMM per (layer, step) over all lanes.
-  const math::Matrix* xin = &ws.xs;
+  // Layer-outer, time-inner: a layer's input projection over every lane's
+  // whole window is one bias-folded GEMM (layer 0's arrives precomputed);
+  // only the recurrent term runs sequentially in t, as one GEMM over all
+  // lanes per step.
+  const math::Matrix* zx = &zx0;
+  const math::Matrix* xin = nullptr;
   for (std::size_t l = 0; l < cfg_.layers; ++l) {
     const CellParams& p = cells_[l];
-    math::matmul_nt_bias_into(*xin, p.w, p.b, ws.zx);
+    if (l > 0) {
+      math::matmul_nt_bias_into(*xin, p.w, p.b, ws.zx);
+      zx = &ws.zx;
+    }
     math::Matrix& hout = (l % 2 == 0) ? ws.hseq_a : ws.hseq_b;
-    hout.resize(windows.rows(), H);
+    hout.resize(zx0.rows(), H);
     ws.h.resize(lanes, H);
     ws.c.resize(lanes, H);
     std::fill(ws.h.flat().begin(), ws.h.flat().end(), 0.0);
@@ -534,7 +529,7 @@ void SequenceRegressor::predict_batch_into(const math::Matrix& windows,
       math::matmul_nt_into(ws.h, p.u, ws.zu);
       for (std::size_t i = 0; i < lanes; ++i) {
         const std::size_t row = i * T + t;
-        cell_step_preproj_into(p, ws.zx.row(row), ws.zu.row(i), ws.h.row(i),
+        cell_step_preproj_into(p, zx->row(row), ws.zu.row(i), ws.h.row(i),
                                ws.c.row(i), ws.scratch);
         const auto h = ws.h.row(i);
         std::copy(h.begin(), h.end(), hout.row(row).begin());

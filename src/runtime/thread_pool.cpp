@@ -78,7 +78,10 @@ void ThreadPool::run(std::size_t n_tasks,
   if (n_tasks == 0) return;
   jobs.add();
   tasks.add(n_tasks);
-  const obs::Span span(job_hist);
+  // Unnested: the tasks this thread runs below must see the caller's span
+  // depth, not one more — a pool task's stack never depends on which
+  // thread picked it up.
+  const obs::Span span(job_hist, obs::kUnnested);
   if (workers_.empty() || n_tasks == 1) {
     serial_jobs.add();
     InWorkerScope scope;  // mark serial execution so nesting is still caught

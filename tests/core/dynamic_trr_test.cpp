@@ -55,7 +55,7 @@ TEST(DynamicTrr, StreamingProducesEstimateEveryTick) {
     if (test.measured[t]) {
       reading = test.dataset.target("P_NODE")[t];
     }
-    const double est = trr.step(features.row(t), reading);
+    const double est = trr.step(features.row(t), reading).estimate;
     EXPECT_TRUE(std::isfinite(est));
     EXPECT_GT(est, 0.0);
     EXPECT_LT(est, 400.0);
@@ -71,7 +71,7 @@ TEST(DynamicTrr, MeasuredTicksReturnTheMeasurement) {
   for (std::size_t t = 0; t < test.num_ticks(); ++t) {
     if (test.measured[t]) {
       const double v = test.dataset.target("P_NODE")[t];
-      EXPECT_DOUBLE_EQ(trr.step(features.row(t), v), v);
+      EXPECT_DOUBLE_EQ(trr.step(features.row(t), v).estimate, v);
     } else {
       trr.step(features.row(t), std::nullopt);
     }
@@ -120,7 +120,7 @@ TEST(DynamicTrr, TracksNodePowerOnUnseenRun) {
   for (std::size_t t = 0; t < test.num_ticks(); ++t) {
     std::optional<double> reading;
     if (test.measured[t]) reading = test.dataset.target("P_NODE")[t];
-    const double e = trr.step(features.row(t), reading);
+    const double e = trr.step(features.row(t), reading).estimate;
     if (!test.measured[t]) {  // score only restored ticks
       truth.push_back(test.truth[t].p_node_w);
       est.push_back(e);
@@ -137,13 +137,14 @@ TEST(DynamicTrr, ResetStreamClearsState) {
   const auto& features = test.dataset.features();
   std::vector<double> first;
   for (std::size_t t = 0; t < 20; ++t) {
-    first.push_back(trr.step(features.row(t), std::nullopt));
+    first.push_back(trr.step(features.row(t), std::nullopt).estimate);
   }
   trr.reset_stream();
   // Replaying the same ticks after reset gives the same estimates only if
   // no online fine-tune happened (none did: no readings were offered).
   for (std::size_t t = 0; t < 20; ++t) {
-    EXPECT_DOUBLE_EQ(trr.step(features.row(t), std::nullopt), first[t]);
+    EXPECT_DOUBLE_EQ(trr.step(features.row(t), std::nullopt).estimate,
+                     first[t]);
   }
 }
 
@@ -169,7 +170,8 @@ TEST(DynamicTrr, ColdStartFallsBackToTrainingLabelMean) {
   // first estimates started from nonsense. With the label-mean prior the
   // cold-start estimate lands near the training distribution.
   const auto test = collect(workloads::fft(), 10, 16);
-  const double est = trr.step(test.dataset.features().row(0), std::nullopt);
+  const double est =
+      trr.step(test.dataset.features().row(0), std::nullopt).estimate;
   EXPECT_NEAR(est, mean, 0.35 * mean);
 }
 

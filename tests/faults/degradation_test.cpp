@@ -51,7 +51,7 @@ TEST(DynamicTrrDegradation, NanPmcRowsYieldFiniteEstimates) {
     if (faulted.measured[t]) {
       reading = faulted.dataset.target("P_NODE")[t];
     }
-    const double est = trr.step(f.row(t), reading);
+    const double est = trr.step(f.row(t), reading).estimate;
     EXPECT_TRUE(std::isfinite(est)) << "tick " << t;
     EXPECT_GT(est, 0.0);
   }
@@ -72,12 +72,12 @@ TEST(DynamicTrrDegradation, DropoutKeepsPredictingAndRecovers) {
     for (std::size_t t = 0; t < 10; ++t) {
       std::optional<double> reading;
       if (test.measured[t]) reading = labels[t];
-      EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading)));
+      EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading).estimate));
     }
     return trr.finetune_count();
   }();
   for (std::size_t t = 10; t < 50; ++t) {
-    const double est = trr.step(f.row(t), std::nullopt);
+    const double est = trr.step(f.row(t), std::nullopt).estimate;
     EXPECT_TRUE(std::isfinite(est));
     EXPECT_GE(est, trr.p_bottom());
     EXPECT_LE(est, trr.p_upper());
@@ -87,7 +87,7 @@ TEST(DynamicTrrDegradation, DropoutKeepsPredictingAndRecovers) {
   for (std::size_t t = 50; t < 80; ++t) {
     std::optional<double> reading;
     if (test.measured[t]) reading = labels[t];
-    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading)));
+    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading).estimate));
     after = trr.finetune_count();
   }
   EXPECT_GT(after, before_outage_finetunes);
@@ -104,7 +104,7 @@ TEST(DynamicTrrDegradation, SpikeReadingsAreRejected) {
   for (std::size_t t = 0; t < test.num_ticks(); ++t) {
     std::optional<double> reading;
     if (test.measured[t]) reading = (t == 20) ? spike : labels[t];
-    const double est = trr.step(f.row(t), reading);
+    const double est = trr.step(f.row(t), reading).estimate;
     EXPECT_TRUE(std::isfinite(est));
     EXPECT_NE(est, spike);
     EXPECT_LE(est, trr.p_upper());
@@ -125,7 +125,7 @@ TEST(DynamicTrrDegradation, StuckReadingsAreRejectedOnceTheModelDisagrees) {
   // the plausibility check alone cannot catch it) delivering every tick.
   const double latched = trr.p_upper() - 1.0;
   for (std::size_t t = 0; t < test.num_ticks(); ++t) {
-    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), latched)));
+    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), latched).estimate));
   }
   EXPECT_GE(trr.rejected_readings(), 1u);
 }
@@ -138,7 +138,7 @@ TEST(DynamicTrrDegradation, NonFiniteReadingIsTreatedAsMissing) {
   for (std::size_t t = 0; t < test.num_ticks(); ++t) {
     std::optional<double> reading;
     if (t == 10) reading = kNan;
-    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading)));
+    EXPECT_TRUE(std::isfinite(trr.step(f.row(t), reading).estimate));
   }
   EXPECT_GE(trr.rejected_readings(), 1u);
 }

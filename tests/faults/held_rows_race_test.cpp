@@ -61,7 +61,8 @@ TEST(CounterRace, PollingDynamicTrrDiagnosticsWhileStepping) {
     const bool bad_row = t % 7 == 0;
     const double est =
         trr.step(bad_row ? std::span<const double>(degraded) : f.row(t),
-                 reading);
+                 reading)
+            .estimate;
     EXPECT_TRUE(std::isfinite(est));
   }
   done.store(true, std::memory_order_release);

@@ -2,12 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 
 #include "highrpm/math/metrics.hpp"
 #include "highrpm/math/rng.hpp"
 
 namespace highrpm::ml {
+
+/// The direct computation every predict path must reproduce: standardize
+/// the window, then run the training forward pass — time-outer, every gate
+/// pre-activation computed as `b + w·x + u·h` from the raw weights, no
+/// projection GEMM and no cached rows.
+struct SequenceRegressorTestPeer {
+  static std::vector<double> direct_predict(const SequenceRegressor& m,
+                                            const math::Matrix& steps) {
+    auto out = m.forward(m.x_scaler_.transform(steps), nullptr);
+    for (double& v : out) v = m.y_scaler_.inverse_one(v);
+    return out;
+  }
+};
+
 namespace {
 
 /// Windows of a noisy AR(1)-like series whose label at each step is a
@@ -249,7 +266,7 @@ TEST_P(RnnBatchIdentity, PredictBatchMatchesPerWindowBitForBit) {
       std::copy(src.begin(), src.end(), dst.begin());
     }
   }
-  SequenceRegressor::BatchWorkspace ws;
+  SequenceRegressor::Workspace ws;
   math::Matrix out;
   m.predict_batch_into(packed, lanes, out, ws);
   ASSERT_EQ(out.rows(), lanes);
@@ -269,7 +286,7 @@ TEST(SequenceRegressor, PredictBatchRejectsRaggedLanes) {
   const auto samples = make_sequence_problem(20, 6, 19);
   SequenceRegressor m;
   m.fit(samples);
-  SequenceRegressor::BatchWorkspace ws;
+  SequenceRegressor::Workspace ws;
   math::Matrix out;
   const math::Matrix packed(13, samples[0].steps.cols());  // 13 % 4 != 0
   EXPECT_THROW(m.predict_batch_into(packed, 4, out, ws),
@@ -278,6 +295,115 @@ TEST(SequenceRegressor, PredictBatchRejectsRaggedLanes) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, RnnBatchIdentity,
                          ::testing::Values(CellType::kLstm, CellType::kGru));
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class RnnProjectionIdentity
+    : public ::testing::TestWithParam<std::tuple<CellType, std::size_t>> {};
+
+TEST_P(RnnProjectionIdentity, EveryPredictPathMatchesDirectComputation) {
+  // Every predict entry point — predict_into, predict_batch_into, and
+  // predict_projected_into fed rows projected one at a time (the ring
+  // cache's path) — must equal the direct computation bit for bit, for
+  // every window fill T = 1..10 and every lane count.
+  const auto& [cell, layers] = GetParam();
+  const auto samples = make_sequence_problem(40, 6, 23);
+  RnnConfig cfg;
+  cfg.cell = cell;
+  cfg.units = 2;
+  cfg.layers = layers;
+  cfg.epochs = 4;
+  SequenceRegressor m(cfg);
+  m.fit(samples);
+  const std::size_t f = m.input_dim();
+  const std::size_t g = m.projection_dim();
+
+  math::Rng rng(29);
+  SequenceRegressor::Workspace ws;
+  SequenceRegressor::Workspace batch_ws;
+  std::vector<double> single;
+  std::vector<double> x(f);
+  math::Matrix out;
+  for (const std::size_t lanes : {1u, 3u, 64u}) {
+    for (std::size_t T = 1; T <= 10; ++T) {
+      math::Matrix packed(lanes * T, f);
+      for (double& v : packed.flat()) v = rng.uniform(-1.0, 60.0);
+      // Project rows in reverse order, as a ring refreshes its slots in
+      // whatever order they went stale: a row's projection depends on
+      // that row alone.
+      math::Matrix zx0(lanes * T, g);
+      for (std::size_t r = lanes * T; r-- > 0;) {
+        m.project_input_row_into(packed.row(r), zx0.row(r), x);
+      }
+      m.predict_projected_into(zx0, lanes, out, batch_ws);
+      ASSERT_EQ(out.rows(), lanes);
+      ASSERT_EQ(out.cols(), T);
+      math::Matrix batched;
+      m.predict_batch_into(packed, lanes, batched, batch_ws);
+      for (std::size_t i = 0; i < lanes; ++i) {
+        math::Matrix window(T, f);
+        for (std::size_t t = 0; t < T; ++t) {
+          const auto src = packed.row(i * T + t);
+          std::copy(src.begin(), src.end(), window.row(t).begin());
+        }
+        const auto direct = SequenceRegressorTestPeer::direct_predict(m, window);
+        m.predict_into(window, single, ws);
+        ASSERT_EQ(single.size(), T);
+        for (std::size_t t = 0; t < T; ++t) {
+          ASSERT_EQ(bits(single[t]), bits(direct[t]))
+              << "predict_into lanes=" << lanes << " T=" << T << " t=" << t;
+          ASSERT_EQ(bits(batched(i, t)), bits(direct[t]))
+              << "predict_batch_into lanes=" << lanes << " T=" << T
+              << " lane " << i << " t=" << t;
+          ASSERT_EQ(bits(out(i, t)), bits(direct[t]))
+              << "projected lanes=" << lanes << " T=" << T << " lane " << i
+              << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellsAndDepths, RnnProjectionIdentity,
+    ::testing::Combine(::testing::Values(CellType::kLstm, CellType::kGru),
+                       ::testing::Values(1u, 2u, 3u)));
+
+TEST(SequenceRegressor, EveryFitBumpsTheGeneration) {
+  const auto samples = make_sequence_problem(20, 6, 31);
+  RnnConfig cfg;
+  cfg.epochs = 2;
+  SequenceRegressor m(cfg);
+  EXPECT_EQ(m.generation(), 0u);
+  m.fit(samples);
+  const std::uint64_t trained = m.generation();
+  EXPECT_GT(trained, 0u);
+  SequenceRegressor copy = m;
+  EXPECT_EQ(copy.generation(), trained);  // stamps travel with the weights
+  m.fit(std::span<const data::SequenceSample>(samples.data(), 1),
+        /*reset=*/false, 1);
+  EXPECT_GT(m.generation(), trained);
+  const std::uint64_t tuned = m.generation();
+  m.fit(samples);
+  EXPECT_GT(m.generation(), tuned);
+}
+
+TEST(SequenceRegressor, PredictProjectedRejectsBadShapes) {
+  const auto samples = make_sequence_problem(20, 6, 37);
+  SequenceRegressor m;
+  SequenceRegressor::Workspace ws;
+  math::Matrix out;
+  EXPECT_THROW(m.predict_projected_into(math::Matrix(4, 8), 1, out, ws),
+               std::logic_error);
+  m.fit(samples);
+  const std::size_t g = m.projection_dim();
+  EXPECT_THROW(m.predict_projected_into(math::Matrix(4, g + 1), 1, out, ws),
+               std::invalid_argument);
+  EXPECT_THROW(m.predict_projected_into(math::Matrix(5, g), 2, out, ws),
+               std::invalid_argument);
+  EXPECT_THROW(m.predict_projected_into(math::Matrix(4, g), 0, out, ws),
+               std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace highrpm::ml

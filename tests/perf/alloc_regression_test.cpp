@@ -93,7 +93,7 @@ TEST(AllocRegression, DynamicTrrSteadyStateTickIsAllocationFree) {
   for (std::size_t t = warmup; t < stream.rows(); ++t) {
     for (std::size_t c = 0; c < kFeatures; ++c) row[c] = stream(t, c);
     const at::Armed armed;
-    const double est = trr.step(row, std::nullopt);
+    const double est = trr.step(row, std::nullopt).estimate;
     ASSERT_TRUE(std::isfinite(est));
     ++metered;
   }
@@ -393,6 +393,66 @@ TEST(AllocRegression, AdaptiveHighRpmOnTickIsAllocationFree) {
       << "metered run never switched modes — cheap/dense not both covered";
   EXPECT_EQ(at::count() - before, 0u)
       << "adaptive HighRpm::on_tick allocated on a steady-state tick";
+}
+
+TEST(AllocRegression, FineTunedHighRpmPredictAfterGenerationBumpIsAllocationFree) {
+  // An accepted reading fine-tunes the facade's LSTM, bumping its weight
+  // generation; the next predict tick then reprojects every ring slot of
+  // the window. That refresh must reuse the ring's cache storage.
+  measure::Collector collector;
+  std::vector<measure::CollectedRun> training;
+  training.push_back(collector.collect(sim::PlatformConfig::arm(),
+                                       workloads::fft(), 120, 7));
+  HighRpmConfig cfg;
+  cfg.dynamic_trr.rnn.epochs = 4;
+  cfg.dynamic_trr.finetune_epochs = 1;
+  cfg.srr.epochs = 10;
+  ASSERT_TRUE(cfg.dynamic_trr.online_finetune);
+  HighRpm model(cfg);
+  model.initial_learning(training);
+  model.reset_stream();
+
+  const auto stream = collector.collect(sim::PlatformConfig::arm(),
+                                        workloads::stream(), 120, 8);
+  const auto& features = stream.dataset.features();
+  const auto& labels = stream.dataset.target("P_NODE");
+  const ml::SequenceRegressor& rnn = model.dynamic_trr().model();
+  std::vector<double> row(features.cols());
+  std::uint64_t metered_allocs = 0;
+  std::size_t metered = 0;
+  bool bumped = false;
+  // Two full windows of warm-up (the first post-bump tick included) size
+  // every scratch buffer; after that, each tick right after a bump is
+  // metered.
+  const std::size_t warmup = 2 * cfg.miss_interval + 2;
+  for (std::size_t t = 0; t < features.rows(); ++t) {
+    const auto src = features.row(t);
+    std::copy(src.begin(), src.end(), row.begin());
+    if (t % cfg.miss_interval == 0) {
+      const std::uint64_t gen = rnn.generation();
+      const PowerEstimate est = model.on_tick(row, labels[t]);
+      ASSERT_TRUE(est.measured);
+      bumped = rnn.generation() != gen;
+      continue;
+    }
+    if (t >= warmup && bumped) {
+      const auto before = at::count();
+      {
+        const at::Armed armed;
+        const PowerEstimate est = model.on_tick(row, std::nullopt);
+        ASSERT_TRUE(std::isfinite(est.node_w));
+      }
+      metered_allocs += at::count() - before;
+      ++metered;
+    } else {
+      model.on_tick(row, std::nullopt);
+    }
+    bumped = false;
+  }
+  ASSERT_GT(metered, 0u) << "no predict tick followed a generation bump";
+  EXPECT_EQ(metered_allocs, 0u)
+      << "HighRpm::on_tick allocated reprojecting the window after a "
+         "fine-tune";
 }
 
 TEST(AllocRegression, AdaptiveFleetSteadyStateTickIsAllocationFree) {
