@@ -3,10 +3,14 @@
 // system and shared with other computing nodes", with per-node active
 // learning capturing inter-node variation.
 //
-// This example trains one golden model, registers four compute nodes each
-// running a different workload, streams all of them tick by tick, and then
-// runs a round of per-node active learning.
+// This example trains one golden model, gives each of four compute nodes a
+// reset clone of it (each running a different workload), streams all of
+// them tick by tick, and then runs a round of per-node active learning.
+// For large fleets, core::FleetStepper and serve::Daemon batch the same
+// per-node tick.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "highrpm/core/highrpm.hpp"
 #include "highrpm/math/metrics.hpp"
@@ -36,8 +40,6 @@ int main() {
   std::printf("Training golden model on the control node...\n");
   golden.initial_learning(training);
 
-  core::MonitorService service(std::move(golden));
-
   // Four compute nodes, each with its own workload (and sensor noise).
   struct NodeJob {
     std::string node_id;
@@ -50,12 +52,16 @@ int main() {
       {"cn-03", workloads::smg2000(), 43},
       {"cn-04", workloads::by_name("canneal"), 44},
   };
+  // One private instance per node, cloned from the golden model with a
+  // fresh stream; the nodes then drift apart through their own updates.
+  std::vector<core::HighRpm> nodes(jobs.size(), golden);
   std::vector<measure::CollectedRun> runs;
-  for (const auto& job : jobs) {
-    service.register_node(job.node_id);
-    runs.push_back(collector.collect(platform, job.workload, 150, job.seed));
+  for (std::size_t n = 0; n < jobs.size(); ++n) {
+    nodes[n].reset_stream();
+    runs.push_back(
+        collector.collect(platform, jobs[n].workload, 150, jobs[n].seed));
   }
-  std::printf("Registered %zu compute nodes.\n\n", service.node_count());
+  std::printf("Registered %zu compute nodes.\n\n", nodes.size());
 
   // Stream every node; the control node sees one IM reading per node per
   // 10 s and fills the gaps with DynamicTRR + SRR.
@@ -68,7 +74,7 @@ int main() {
     for (std::size_t t = 0; t < run.num_ticks(); ++t) {
       std::optional<double> reading;
       if (run.measured[t]) reading = run.dataset.target("P_NODE")[t];
-      const auto est = service.on_tick(jobs[n].node_id, features.row(t), reading);
+      const auto est = nodes[n].on_tick(features.row(t), reading);
       node_t.push_back(run.truth[t].p_node_w);
       node_e.push_back(est.node_w);
       cpu_t.push_back(run.truth[t].p_cpu_w);
@@ -85,10 +91,9 @@ int main() {
   // Per-node active learning: each node adapts on its own recent run.
   std::printf("\nRunning one active-learning round per node...\n");
   for (std::size_t n = 0; n < jobs.size(); ++n) {
-    service.active_learning(jobs[n].node_id, runs[n]);
+    nodes[n].active_learning(runs[n]);
     std::printf("  %s: %zu active-learning round(s) applied\n",
-                jobs[n].node_id.c_str(),
-                service.node(jobs[n].node_id).active_learning_rounds());
+                jobs[n].node_id.c_str(), nodes[n].active_learning_rounds());
   }
   std::printf("Done. Each node's model has now drifted toward its own "
               "workload; the golden model is untouched.\n");

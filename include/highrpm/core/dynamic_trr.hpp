@@ -31,14 +31,14 @@ struct DynamicTrrConfig {
   /// larger strides trade a little accuracy for proportionally faster
   /// training (useful for large corpora / sweep benches).
   std::size_t train_stride = 1;
-  /// Graceful degradation under sensor faults (EXPERIMENTS.md "Fault model
-  /// and degradation semantics"): non-finite PMC rows are replaced by the
-  /// last good row and kept out of fine-tune windows; IM readings outside
-  /// the plausibility band, or stuck at one value while the prediction
-  /// drifts away, are rejected (treated as missing); estimates are clamped
-  /// into the band. On clean streams none of this ever triggers, so
-  /// enabling it is a no-op.
-  bool validate_inputs = true;
+  // Graceful degradation under sensor faults (EXPERIMENTS.md "Fault model
+  // and degradation semantics") is always on: non-finite PMC rows are
+  // replaced by the last good row and kept out of fine-tune windows; IM
+  // readings that are non-finite, outside the plausibility band, or stuck
+  // at one value while the prediction drifts away, are rejected (treated
+  // as missing); estimates are clamped into the band. On clean streams
+  // none of this ever triggers. The knobs below tune it.
+
   /// Plausibility band half-margin around the training labels:
   /// [min - m, max + m] with m = bound_margin * max(1, max - min) — the
   /// same derivation StaticTRR uses for p_bottom/p_upper. Deployment
@@ -60,6 +60,24 @@ struct DynamicTrrConfig {
   /// switch back to the dense path is seamless.
   bool train_cheap_model = false;
   ml::TreeConfig cheap_tree{};
+};
+
+/// Last-finite-row hold, the one degradation policy for sensor rows: a row
+/// holding any non-finite value is overwritten by the last finite row seen,
+/// or by zeros before the first one. Node power rarely moves in one tick,
+/// so the held row is the best available stand-in. Once a finite row has
+/// been stored, holding allocates nothing.
+class RowHold {
+ public:
+  /// Hold `row` in place when it is not finite, else remember it. Returns
+  /// true when the row was held.
+  bool apply(std::span<double> row);
+  /// Forget the remembered row (new stream); its storage is kept.
+  void reset() noexcept { have_ = false; }
+
+ private:
+  std::vector<double> last_;
+  bool have_ = false;
 };
 
 class DynamicTrr {
@@ -108,13 +126,24 @@ class DynamicTrr {
 
   /// Phase 1 of step(): claim this tick's ring slot, build its
   /// [PMC..., P'_prev] row in the SoA window (invalidating the slot's
-  /// cached projection), and run input validation / degradation. After it
-  /// returns, pack_projection_into() yields the window to predict over.
+  /// cached projection), and run input validation / degradation. This is
+  /// the only place a node PMC row is held or a non-finite reading dropped:
+  /// callers pass raw sensor inputs and read the held row back through
+  /// prepared_row(). After it returns, pack_projection_into() yields the
+  /// window to predict over.
   /// Exactly one prepare must be followed by exactly one step_commit before
   /// the next prepare on the same instance (the fleet stepper interleaves
   /// prepares across *nodes*, never within one).
   StepPrep step_prepare(std::span<const double> pmcs,
                         std::optional<double> im_reading);
+  /// The F-wide PMC row this tick's window slot holds: the input row, or
+  /// the held row when the input was not finite. SRR and the adaptive
+  /// controller read it so every consumer of a tick sees the same input.
+  /// Valid until the next step_prepare.
+  std::span<const double> prepared_row(const StepPrep& prep) const {
+    const auto row = win_rows_.row(prep.slot);
+    return row.first(row.size() - 1);
+  }
   /// Copy the current window's layer-0 input projections (oldest row
   /// first) into consecutive rows of `out` starting at `row_offset`, first
   /// reprojecting any ring slot whose cached projection is stale (rewritten
@@ -235,8 +264,7 @@ class DynamicTrr {
   double p_upper_ = 0.0;
   double p_bottom_ = 0.0;
   // Degradation state (stream-local) and counters (cumulative).
-  std::vector<double> last_good_pmcs_;
-  bool have_last_good_ = false;
+  RowHold pmc_hold_;
   double last_im_value_ = 0.0;
   bool have_last_im_ = false;
   std::size_t im_repeats_ = 0;

@@ -1,14 +1,14 @@
 // highrpm::core::FleetStepper — batched structure-of-arrays stepping of N
 // monitored nodes.
 //
-// The per-node streaming path (HighRpm::on_tick) steps one node at a time:
-// held-row substitution, DynamicTrr::step, Srr::predict_one — a dot product
-// per output unit per node per tick. FleetStepper re-expresses the same
-// tick for a whole fleet: nodes are grouped into fixed shards, each shard
-// packs its lanes' ring windows into one contiguous batch matrix, the RNN
-// runs one GEMM per layer per shard (shared-weights fleets), the SRR MLP
-// runs one GEMM per layer per shard, and shards execute in parallel on the
-// runtime thread pool.
+// The per-node streaming path (HighRpm::on_tick) steps one node at a time
+// through its core::Lane, then Srr::predict_one — a dot product per output
+// unit per node per tick. FleetStepper runs the same lane kernel for a
+// whole fleet, batching only the predict and SRR legs: nodes are grouped
+// into fixed shards, each shard packs its lanes' ring windows into one
+// contiguous batch matrix, the RNN runs one GEMM per layer per shard
+// (shared-weights fleets), the SRR MLP runs one GEMM per layer per shard,
+// and shards execute in parallel on the runtime thread pool.
 //
 // Determinism contract: every lane's outputs are byte-identical to the
 // serial per-node path (a HighRpm clone stepped alone) at every fleet
@@ -44,9 +44,10 @@ struct FleetConfig {
 class FleetStepper {
  public:
   /// Build a fleet of `nodes` lanes from a trained golden instance: each
-  /// lane clones the golden DynamicTrr (per-node window/stream state, and
-  /// per-node weights when online fine-tuning is on); the SRR is shared —
-  /// streaming never mutates its weights.
+  /// lane is a reset copy of the golden's lane (per-node window/stream
+  /// state, per-node weights when online fine-tuning is on, and a fresh
+  /// controller when adaptive); the SRR is shared — streaming never
+  /// mutates its weights.
   FleetStepper(const HighRpm& golden, std::size_t nodes, FleetConfig cfg = {});
 
   /// Per-shard callbacks invoked on the thread executing the shard,
@@ -77,7 +78,7 @@ class FleetStepper {
   /// allocations call over call: once a Cohort has seen its largest cohort
   /// size, further steps through it perform zero heap allocations.
   struct Cohort {
-    math::Matrix rows;       // L x F substituted PMC rows
+    math::Matrix rows;       // L x F held PMC rows (DynamicTrr::prepared_row)
     math::Matrix zx_batch;   // (L*T) x gates packed ring projections
     math::Matrix rnn_out;    // L x T batched RNN predictions
     ml::SequenceRegressor::Workspace rnn_ws;
@@ -87,7 +88,7 @@ class FleetStepper {
     std::vector<ComponentEstimate> comp;
     Srr::BatchScratch srr;
     // K-way attribution staging (untouched when tenant_pmcs is null).
-    math::Matrix trows;       // L x K*F substituted tenant rows
+    math::Matrix trows;       // L x K*F held tenant rows
     math::Matrix tenant_out;  // L x K attribution estimates
     Srr::BatchScratch tsrr;
   };
@@ -135,20 +136,6 @@ class FleetStepper {
   }
 
  private:
-  struct Lane {
-    DynamicTrr trr;
-    /// Last finite PMC row — substituted on degraded ticks so TRR and SRR
-    /// see the same held input (mirrors HighRpm::on_tick).
-    std::vector<double> last_good;
-    bool have_last_good = false;
-    /// Same hold policy for the concatenated tenant row.
-    std::vector<double> last_good_tenant;
-    bool have_last_good_tenant = false;
-    /// Present iff the golden instance was adaptive; observed after every
-    /// commit, mirroring HighRpm::on_tick.
-    std::optional<adapt::Controller> ctl;
-  };
-
   /// Per-shard state, owned by exactly one parallel_for index per tick:
   /// the shard's contiguous lane range as a prebuilt cohort id list plus
   /// its own Cohort scratch (reused tick over tick). A shard tick is just

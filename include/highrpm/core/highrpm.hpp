@@ -14,6 +14,7 @@
 
 #include "highrpm/adapt/controller.hpp"
 #include "highrpm/core/dynamic_trr.hpp"
+#include "highrpm/core/lane.hpp"
 #include "highrpm/core/sampler.hpp"
 #include "highrpm/core/srr.hpp"
 #include "highrpm/core/static_trr.hpp"
@@ -151,24 +152,25 @@ class HighRpm {
   /// values). Runs the node pipeline (DynamicTRR + component SRR) exactly
   /// like the 2-arg overload — same estimates, same adaptive decisions —
   /// then fills PowerEstimate::tenant_w from the attribution head. A
-  /// non-finite tenant row is held (last good row substituted) just like
-  /// the node row. When self-calibration is enabled, measured ticks feed
-  /// the drift EWMA and may trigger an online fine-tune of the attribution
-  /// head; the trigger itself allocates (training is not a steady-state
-  /// path), but non-trigger ticks stay 0-alloc once warm.
+  /// non-finite tenant row is held (RowHold) just like the node row. When
+  /// self-calibration is enabled, measured ticks feed the drift EWMA and
+  /// may trigger an online fine-tune of the attribution head; the trigger
+  /// itself allocates (training is not a steady-state path), but
+  /// non-trigger ticks stay 0-alloc once warm.
   PowerEstimate on_tick(std::span<const double> pmcs,
                         std::span<const double> tenant_pmcs,
                         std::optional<double> im_reading);
 
   bool trained() const noexcept {
-    return dynamic_trr_.fitted() && srr_.fitted();
+    return lane_.trr.fitted() && srr_.fitted();
   }
   const HighRpmConfig& config() const noexcept { return cfg_; }
-  DynamicTrr& dynamic_trr() noexcept { return dynamic_trr_; }
+  DynamicTrr& dynamic_trr() noexcept { return lane_.trr; }
   Srr& srr() noexcept { return srr_; }
-  /// Const access for read-only consumers (FleetStepper clones per-lane
-  /// TRR state and shares the SRR from a trained golden instance).
-  const DynamicTrr& dynamic_trr() const noexcept { return dynamic_trr_; }
+  /// Const access for read-only consumers (FleetStepper copies the lane
+  /// once per node and shares the SRR from a trained golden instance).
+  const DynamicTrr& dynamic_trr() const noexcept { return lane_.trr; }
+  const Lane& lane() const noexcept { return lane_; }
   const Srr& srr() const noexcept { return srr_; }
   /// The K-way attribution head (fitted by fit_attribution).
   Srr& attribution_srr() noexcept { return tenant_srr_; }
@@ -182,12 +184,10 @@ class HighRpm {
     return static_cast<std::size_t>(selfcal_triggers_.value());
   }
   std::size_t active_learning_rounds() const noexcept { return al_rounds_; }
-  /// Streaming ticks whose PMC row was non-finite and had to be held
-  /// (cumulative across streams, like DynamicTrr's counters). obs::Counter
-  /// so a monitor thread polling the diagnostic never races the stream
-  /// thread incrementing it.
+  /// Streaming ticks whose PMC row was non-finite and had to be held:
+  /// DynamicTrr::substituted_rows(), the one place rows are held.
   std::size_t held_rows() const noexcept {
-    return static_cast<std::size_t>(held_rows_.value());
+    return lane_.trr.substituted_rows();
   }
   /// The adaptive-sampling controller, or nullptr when cfg.adaptive is off.
   /// Exposes mode / budget / flap counters for monitors and benches; the
@@ -195,7 +195,7 @@ class HighRpm {
   /// interval factor) the *caller* is expected to apply to its sensors —
   /// HighRpm itself only consumes the cheap-vs-LSTM routing.
   const adapt::Controller* controller() const noexcept {
-    return controller_ ? &*controller_ : nullptr;
+    return lane_.ctl ? &*lane_.ctl : nullptr;
   }
 
  private:
@@ -206,23 +206,20 @@ class HighRpm {
   void recalibrate_attribution();
 
   HighRpmConfig cfg_;
-  DynamicTrr dynamic_trr_;
+  /// The per-tick kernel: DynamicTRR, the tenant-row hold and, iff
+  /// cfg_.adaptive, the adaptive-sampling controller.
+  Lane lane_;
   Srr srr_;
   /// K-way attribution head (cfg_.tenants outputs). Default-constructed but
   /// unfitted when attribution is off.
   Srr tenant_srr_;
   ReinforcementSampler sampler_;
   std::size_t al_rounds_ = 0;
-  /// Last finite PMC row seen by on_tick — substituted on degraded ticks so
-  /// TRR and SRR see the same held input.
-  std::vector<double> last_good_row_;
-  /// Same hold policy for the concatenated tenant PMC row.
-  std::vector<double> last_good_tenant_row_;
-  /// Reused across ticks so the steady-state SRR predict performs zero heap
-  /// allocations once warm.
+  /// Reused across ticks so the steady-state SRR predict and the tenant-row
+  /// hold perform zero heap allocations once warm.
   Srr::Scratch srr_scratch_;
   Srr::Scratch tenant_scratch_;
-  obs::Counter held_rows_;
+  std::vector<double> tenant_row_;
   // --- self-calibration state (cfg_.self_cal) ---
   /// Ring buffer of recent measured ticks: tenant rows + the IM reading.
   /// Sized at construction; the recalibration set when a trigger fires.
@@ -234,38 +231,6 @@ class HighRpm {
   bool drift_seeded_ = false;
   std::size_t selfcal_cooldown_ = 0;  // ticks until the next trigger may fire
   obs::Counter selfcal_triggers_;
-  /// Present iff cfg_.adaptive. Observed after every committed tick;
-  /// decisions apply from the next tick (window-boundary granularity).
-  std::optional<adapt::Controller> controller_;
-};
-
-/// Control-node service managing per-compute-node HighRPM instances
-/// (paper §4.1: "installed as a service on the control node ... shared with
-/// other computing nodes", with per-node fine-tuning capturing inter-node
-/// power variation). Nodes are cloned from a golden trained instance and
-/// then drift apart through their own active-learning updates.
-class MonitorService {
- public:
-  explicit MonitorService(HighRpm golden);
-
-  /// Register a compute node; returns its private instance.
-  void register_node(const std::string& node_id);
-  bool has_node(const std::string& node_id) const;
-  std::size_t node_count() const noexcept { return nodes_.size(); }
-
-  PowerEstimate on_tick(const std::string& node_id,
-                        std::span<const double> pmcs,
-                        std::optional<double> im_reading);
-  void active_learning(const std::string& node_id,
-                       const measure::CollectedRun& run);
-
-  const HighRpm& node(const std::string& node_id) const;
-
- private:
-  HighRpm& node_mut(const std::string& node_id);
-
-  HighRpm golden_;
-  std::vector<std::pair<std::string, HighRpm>> nodes_;
 };
 
 }  // namespace highrpm::core

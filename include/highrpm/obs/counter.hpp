@@ -10,9 +10,9 @@
 // All operations use relaxed atomics: counters carry no ordering contract,
 // only totals, and at HighRPM's increment rates (a handful per monitoring
 // tick) a relaxed fetch_add is far below measurement noise. Copying loads
-// the source's value — that keeps classes with Counter members (HighRpm is
-// cloned per compute node by MonitorService) copyable, each copy continuing
-// from the source's count.
+// the source's value — that keeps classes with Counter members (DynamicTrr
+// is copied once per fleet lane, HighRpm per monitored node) copyable, each
+// copy continuing from the source's count.
 //
 // Templated over an atomics backend (verify/backend.hpp) so the model
 // checker can prove fetch_add loses no updates and the value is monotone

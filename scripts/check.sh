@@ -16,10 +16,13 @@
 #   perf      ctest -L perf-smoke in a release build: zero-allocation
 #             steady-state contract (per-node + batched fleet + serve
 #             consume paths) and fleet-stepper determinism
-#             (serial == N=1 == N=64 CSVs); then a 3 s perfbench
-#             fleet-batch run that must report correct=true, failed=0
-#             (lanes 0 and 1023 of the batched 1024-lane fleet replayed
-#             bit-identically through the serial facade)
+#             (serial == N=1 == N=64 CSVs); then a 3 s perfbench run of
+#             each workload that must report correct=true, failed=0:
+#             fleet-batch (lanes 0 and 1023 of the batched 1024-lane
+#             fleet replayed bit-identically through the serial facade),
+#             agent-finetune (every faulted facade estimate finite) and
+#             serve-daemon (lane 0's final snapshot bit-identical to a
+#             serial facade replay)
 #   soak      HIGHRPM_SOAK=1 ctest -L soak in the werror build: long-run
 #             daemon determinism (byte-identical final snapshots across
 #             consumer thread counts under real producer threads)
@@ -117,13 +120,16 @@ step_perf() {
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS" -L perf-smoke
-  note "perf: perfbench fleet-batch serial-replay identity (correct, failed == 0)"
-  python3 perfbench/run.py --workload fleet-batch --seed 1 --seconds 3 \
-      --trace 0 | tail -n 1 | python3 -c '
+  local w
+  for w in fleet-batch agent-finetune serve-daemon; do
+    note "perf: perfbench $w correctness checks (correct, failed == 0)"
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 \
+        --trace 0 | tail -n 1 | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 print("    correct=%s failed=%s attempted=%s" % (r["correct"], r["failed"], r["attempted"]))
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+  done
 }
 
 step_soak() {

@@ -11,6 +11,20 @@
 
 namespace highrpm::core {
 
+bool RowHold::apply(std::span<double> row) {
+  if (math::all_finite(row)) {
+    last_.assign(row.begin(), row.end());
+    have_ = true;
+    return false;
+  }
+  if (have_ && last_.size() == row.size()) {
+    std::copy(last_.begin(), last_.end(), row.begin());
+  } else {
+    std::fill(row.begin(), row.end(), 0.0);
+  }
+  return true;
+}
+
 DynamicTrr::DynamicTrr(DynamicTrrConfig cfg)
     : cfg_(cfg), model_(cfg.rnn), cheap_(cfg.cheap_tree) {
   if (cfg_.miss_interval < 2) {
@@ -141,9 +155,7 @@ void DynamicTrr::reset_stream() {
   win_count_ = 0;
   prev_estimate_ = 0.0;
   have_prev_ = false;
-  last_good_pmcs_.clear();
-  if (n_features_ > 0) last_good_pmcs_.reserve(n_features_);
-  have_last_good_ = false;
+  pmc_hold_.reset();
   last_im_value_ = 0.0;
   have_last_im_ = false;
   im_repeats_ = 0;
@@ -219,32 +231,21 @@ DynamicTrr::StepPrep DynamicTrr::step_prepare(std::span<const double> pmcs,
   win_zx_gen_[prep.slot] = 0;  // the row changes below; reproject on pack
 
   // --- input validation / graceful degradation (no-op on clean input) ---
-  bool clean_row = true;
-  if (cfg_.validate_inputs) {
-    if (!math::all_finite(feat.subspan(0, f))) {
-      // Degraded tick: hold the last good row — node power rarely moves in
-      // one tick — and keep this window out of fine-tuning.
-      clean_row = false;
-      substituted_rows_.add();
-      substituted_total.add();
-      if (have_last_good_) {
-        std::copy(last_good_pmcs_.begin(), last_good_pmcs_.end(),
-                  feat.begin());
-      } else {
-        std::fill(feat.begin(), feat.begin() + f, 0.0);
-      }
-    } else {
-      last_good_pmcs_.assign(feat.begin(), feat.begin() + f);
-      have_last_good_ = true;
-    }
-    if (prep.have_reading && !plausible_reading(prep.reading_value)) {
-      // Spike / garbage reading: keep predicting instead of superseding.
-      rejected_readings_.add();
-      rejected_total.add();
-      prep.have_reading = false;
-    }
+  // A degraded tick holds the last good row and keeps this window out of
+  // fine-tuning.
+  const bool held = pmc_hold_.apply(feat.first(f));
+  if (held) {
+    substituted_rows_.add();
+    substituted_total.add();
   }
-  win_clean_[prep.slot] = clean_row ? 1 : 0;
+  win_clean_[prep.slot] = held ? 0 : 1;
+  if (prep.have_reading && !plausible_reading(prep.reading_value)) {
+    // Spike / garbage / non-finite reading: keep predicting instead of
+    // superseding.
+    rejected_readings_.add();
+    rejected_total.add();
+    prep.have_reading = false;
+  }
 
   // Finish this tick's row: [PMC..., P'_prev]. Before the first estimate
   // we use the IM reading if present, else the training-label mean (a
@@ -324,16 +325,13 @@ DynamicTrr::Commit DynamicTrr::step_commit(const StepPrep& prep,
 
   bool have_reading = prep.have_reading;
   double estimate = raw_estimate;
-  if (cfg_.validate_inputs) {
-    if (!std::isfinite(estimate)) {
-      estimate = have_prev_ ? prev_estimate_ : label_mean_;
-    } else if (p_upper_ > p_bottom_) {
-      estimate = std::clamp(estimate, p_bottom_, p_upper_);
-    }
+  if (!std::isfinite(estimate)) {
+    estimate = have_prev_ ? prev_estimate_ : label_mean_;
+  } else if (p_upper_ > p_bottom_) {
+    estimate = std::clamp(estimate, p_bottom_, p_upper_);
   }
 
-  if (have_reading && cfg_.validate_inputs &&
-      stuck_reading(prep.reading_value, estimate)) {
+  if (have_reading && stuck_reading(prep.reading_value, estimate)) {
     // Stuck sensor: the same value keeps arriving while the model has
     // drifted away — trust the prediction.
     rejected_readings_.add();

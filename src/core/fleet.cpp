@@ -1,10 +1,8 @@
 #include "highrpm/core/fleet.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
 #include "highrpm/runtime/parallel_for.hpp"
 
@@ -47,19 +45,9 @@ FleetStepper::FleetStepper(const HighRpm& golden, std::size_t nodes,
   // after the first accepted reading — each lane must predict with its own
   // model.
   shared_rnn_ = !golden.config().dynamic_trr.online_finetune;
-  lanes_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    Lane lane;
-    lane.trr = golden.dynamic_trr();
-    lane.trr.reset_stream();
-    if (const auto* gc = golden.controller()) {
-      // Fresh controller per lane (golden's config already has its window
-      // pinned to the miss interval) and the matching standing routing.
-      lane.ctl.emplace(gc->config());
-      lane.trr.set_use_cheap(lane.ctl->decision().use_cheap);
-    }
-    lanes_.push_back(std::move(lane));
-  }
+  Lane fresh = golden.lane();
+  fresh.reset();
+  lanes_.assign(nodes, fresh);
   const std::size_t n_shards = (nodes + cfg_.shard_lanes - 1) / cfg_.shard_lanes;
   shards_.resize(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
@@ -74,17 +62,7 @@ FleetStepper::FleetStepper(const HighRpm& golden, std::size_t nodes,
 }
 
 void FleetStepper::reset_streams() {
-  for (auto& lane : lanes_) {
-    lane.trr.reset_stream();
-    lane.last_good.clear();
-    lane.have_last_good = false;
-    lane.last_good_tenant.clear();
-    lane.have_last_good_tenant = false;
-    if (lane.ctl) {
-      lane.ctl->reset();
-      lane.trr.set_use_cheap(lane.ctl->decision().use_cheap);
-    }
-  }
+  for (auto& lane : lanes_) lane.reset();
 }
 
 void FleetStepper::step_tick(const math::Matrix& pmcs,
@@ -130,8 +108,6 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
                                std::size_t tenant_row0) {
   static obs::Counter& lane_ticks =
       obs::Registry::instance().counter("core.fleet.lane_ticks");
-  static obs::Counter& held_total =
-      obs::Registry::instance().counter("core.fleet.held_rows");
   const std::size_t lanes = lane_ids.size();
   if (lanes == 0) return;
   if (pmcs.rows() < pmc_row0 + lanes || readings.size() != lanes ||
@@ -159,27 +135,14 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
   ss.node_w.resize(lanes);
   ss.comp.resize(lanes);
 
-  // Phase 1 per lane: held-row substitution (the HighRpm::on_tick
-  // degradation mirror) + TRR window prepare.
+  // Phase 1 per lane: prepare on the raw inputs (the lane holds a corrupt
+  // row and rejects a non-finite reading), then stage the held row for
+  // the batched SRR.
   for (std::size_t li = 0; li < lanes; ++li) {
     Lane& lane = lanes_[lane_ids[li]];
-    const auto dst = ss.rows.row(li);
-    const auto src = pmcs.row(pmc_row0 + li);
-    std::copy(src.begin(), src.end(), dst.begin());
-    if (!math::all_finite(dst)) {
-      held_total.add();
-      if (lane.have_last_good && lane.last_good.size() == f) {
-        std::copy(lane.last_good.begin(), lane.last_good.end(), dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), 0.0);
-      }
-    } else {
-      lane.last_good.assign(dst.begin(), dst.end());
-      lane.have_last_good = true;
-    }
-    std::optional<double> reading = readings[li];
-    if (reading && !std::isfinite(*reading)) reading.reset();
-    ss.preps[li] = lane.trr.step_prepare(dst, reading);
+    ss.preps[li] = lane.prepare(pmcs.row(pmc_row0 + li), readings[li]);
+    const auto row = lane.trr.prepared_row(ss.preps[li]);
+    std::copy(row.begin(), row.end(), ss.rows.row(li).begin());
   }
 
   // Phase 2: predict. Shared-weights fleets with lockstep windows batch
@@ -221,32 +184,18 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
     }
   } else {
     for (std::size_t li = 0; li < lanes; ++li) {
-      DynamicTrr& trr = lanes_[lane_ids[li]].trr;
-      ss.raw[li] = trr.use_cheap() ? trr.predict_prepared_cheap(ss.preps[li])
-                                   : trr.predict_prepared();
+      ss.raw[li] = lanes_[lane_ids[li]].predict(ss.preps[li]);
     }
   }
 
   // Phase 3 per lane: commit (clamps, stuck-sensor logic, measurement
-  // supersede + fine-tune) and the measured flag.
+  // supersede + fine-tune, controller observe) and the measured flag.
   for (std::size_t li = 0; li < lanes; ++li) {
-    Lane& lane = lanes_[lane_ids[li]];
     const DynamicTrr::Commit commit =
-        lane.trr.step_commit(ss.preps[li], ss.raw[li]);
-    const double node_w = commit.estimate;
-    ss.node_w[li] = node_w;
-    out[li].node_w = node_w;
+        lanes_[lane_ids[li]].commit(ss.preps[li], ss.raw[li]);
+    ss.node_w[li] = commit.estimate;
+    out[li].node_w = commit.estimate;
     out[li].measured = commit.accepted;
-    // Adaptive sampling: same observation the serial facade makes — the
-    // committed estimate plus the substituted row, measured ticks excluded
-    // (a reading superseding the prediction would score the model-vs-meter
-    // bias as volatility) — so decision streams are identical at every
-    // fleet shape.
-    if (lane.ctl && !out[li].measured) {
-      if (const auto d = lane.ctl->observe(node_w, ss.rows.row(li))) {
-        lane.trr.set_use_cheap(d->use_cheap);
-      }
-    }
   }
 
   // Phase 4: one SRR GEMM per MLP layer for the whole cohort.
@@ -258,27 +207,15 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
   }
   if (!tenant_pmcs) return;
 
-  // Phase 5: K-way attribution — held-tenant-row substitution per lane
-  // (mirroring the serial facade's 3-arg on_tick), then one attribution
+  // Phase 5: K-way attribution — each lane holds its copy of the tenant
+  // row (as the serial facade's 3-arg on_tick does), then one attribution
   // GEMM per MLP layer for the whole cohort on the committed node powers.
-  const std::size_t tf = tenant_pmcs->cols();
-  ss.trows.resize(lanes, tf);
+  ss.trows.resize(lanes, tenant_pmcs->cols());
   for (std::size_t li = 0; li < lanes; ++li) {
-    Lane& lane = lanes_[lane_ids[li]];
     const auto dst = ss.trows.row(li);
     const auto src = tenant_pmcs->row(tenant_row0 + li);
     std::copy(src.begin(), src.end(), dst.begin());
-    if (!math::all_finite(dst)) {
-      if (lane.have_last_good_tenant && lane.last_good_tenant.size() == tf) {
-        std::copy(lane.last_good_tenant.begin(), lane.last_good_tenant.end(),
-                  dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), 0.0);
-      }
-    } else {
-      lane.last_good_tenant.assign(dst.begin(), dst.end());
-      lane.have_last_good_tenant = true;
-    }
+    lanes_[lane_ids[li]].tenant_hold.apply(dst);
   }
   tenant_srr_.predict_batch_multi_into(ss.trows, ss.node_w, ss.tenant_out,
                                        ss.tsrr);

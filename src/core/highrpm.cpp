@@ -9,16 +9,24 @@
 
 namespace highrpm::core {
 
+namespace {
+
+DynamicTrrConfig lane_trr_config(const HighRpmConfig& cfg) {
+  DynamicTrrConfig d = cfg.dynamic_trr;
+  d.miss_interval = cfg.miss_interval;
+  // Sparse mode routes predicts through the DT ResModel, so an adaptive
+  // facade must always train it.
+  if (cfg.adaptive) d.train_cheap_model = true;
+  return d;
+}
+
+}  // namespace
+
 HighRpm::HighRpm(HighRpmConfig cfg)
     : cfg_(std::move(cfg)),
-      dynamic_trr_([&] {
-        DynamicTrrConfig d = cfg_.dynamic_trr;
-        d.miss_interval = cfg_.miss_interval;
-        // Sparse mode routes predicts through the DT ResModel, so an
-        // adaptive facade must always train it.
-        if (cfg_.adaptive) d.train_cheap_model = true;
-        return d;
-      }()),
+      lane_{.trr = DynamicTrr(lane_trr_config(cfg_)),
+            .tenant_hold = {},
+            .ctl = std::nullopt},
       srr_(cfg_.srr),
       tenant_srr_([&] {
         SrrConfig t = cfg_.tenant_srr;
@@ -45,7 +53,7 @@ HighRpm::HighRpm(HighRpmConfig cfg)
     adapt::ControllerConfig acfg = cfg_.adapt;
     // Decisions must land on ring-window boundaries.
     acfg.window = cfg_.miss_interval;
-    controller_.emplace(acfg);
+    lane_.ctl.emplace(acfg);
   }
 }
 
@@ -62,7 +70,7 @@ void HighRpm::initial_learning(
     pmcs.push_back(run.dataset.features());
     node_labels.push_back(run.dataset.target("P_NODE"));
   }
-  dynamic_trr_.train(pmcs, node_labels);
+  lane_.trr.train(pmcs, node_labels);
 
   // SRR: pooled (and latent-scale-augmented) samples across runs, with the
   // TRR restoration of each run as the bi-directional node-power input —
@@ -124,7 +132,7 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
           sub, labels, cfg_.miss_interval, labels[0]);
       // Keep the fine-tune cheap: cap the window count.
       if (windows.size() > 64) windows.resize(64);
-      dynamic_trr_.fine_tune(windows, cfg_.active_finetune_epochs);
+      lane_.trr.fine_tune(windows, cfg_.active_finetune_epochs);
     }
   }
 
@@ -161,18 +169,14 @@ LogRestoration HighRpm::restore_log(const measure::CollectedRun& run) const {
   const auto& features = run.dataset.features();
   out.cpu_w.resize(features.rows());
   out.mem_w.resize(features.rows());
-  // Degraded rows get the last finite row (zeros before the first one), the
-  // offline mirror of on_tick's hold — SRR would otherwise split NaN.
-  std::vector<double> last_good;
-  std::vector<double> held(features.cols(), 0.0);
+  // Degraded rows are held, the offline mirror of on_tick's hold — SRR
+  // would otherwise split NaN.
+  RowHold hold;
+  std::vector<double> row(features.cols());
   for (std::size_t r = 0; r < features.rows(); ++r) {
-    std::span<const double> row = features.row(r);
-    if (!math::all_finite(row)) {
-      row = last_good.empty() ? std::span<const double>(held)
-                              : std::span<const double>(last_good);
-    } else {
-      last_good.assign(row.begin(), row.end());
-    }
+    const auto src = features.row(r);
+    std::copy(src.begin(), src.end(), row.begin());
+    hold.apply(row);
     const auto est = srr_.predict_one(row, out.node_w[r]);
     out.cpu_w[r] = est.cpu_w;
     out.mem_w[r] = est.mem_w;
@@ -209,9 +213,7 @@ void HighRpm::fit_attribution(std::span<const measure::CollectedRun> runs) {
 }
 
 void HighRpm::reset_stream() {
-  dynamic_trr_.reset_stream();
-  last_good_row_.clear();
-  last_good_tenant_row_.clear();
+  lane_.reset();
   // Self-calibration observations belong to the stream, not the model: a new
   // stream (or a cloned per-node instance) starts with an empty buffer and
   // an unseeded drift EWMA. The fine-tuned weights themselves persist.
@@ -220,15 +222,6 @@ void HighRpm::reset_stream() {
   drift_ewma_pct_ = 0.0;
   drift_seeded_ = false;
   selfcal_cooldown_ = 0;
-  if (controller_) {
-    controller_->reset();
-    // Re-apply the standing decision (a fresh controller starts Sparse).
-    // Before initial_learning the cheap model does not exist yet; routing
-    // is then applied by the first post-training reset.
-    if (dynamic_trr_.cheap_fitted()) {
-      dynamic_trr_.set_use_cheap(controller_->decision().use_cheap);
-    }
-  }
 }
 
 PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
@@ -237,54 +230,22 @@ PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
       obs::Registry::instance().histogram("core.highrpm.on_tick_ns");
   static obs::Counter& ticks_total =
       obs::Registry::instance().counter("core.highrpm.ticks");
-  static obs::Counter& held_total =
-      obs::Registry::instance().counter("core.highrpm.held_rows");
   const obs::Span span(tick_hist);
   ticks_total.add();
   if (!trained()) {
     throw std::logic_error("HighRpm::on_tick: run initial_learning first");
   }
-  // Degrade gracefully on corrupt inputs: hold the last good PMC row so TRR
-  // and SRR split the same substituted input (DynamicTrr would substitute
-  // internally anyway, but SRR has no window state of its own), and treat a
-  // non-finite IM reading as a missed one.
-  std::span<const double> row = pmcs;
-  std::vector<double> held;
-  if (!math::all_finite(pmcs)) {
-    held_rows_.add();
-    held_total.add();
-    if (last_good_row_.size() == pmcs.size()) {
-      held = last_good_row_;
-    } else {
-      held.assign(pmcs.size(), 0.0);
-    }
-    row = held;
-  } else {
-    last_good_row_.assign(pmcs.begin(), pmcs.end());
-  }
-  if (im_reading && !std::isfinite(*im_reading)) im_reading.reset();
-
+  // The lane holds a corrupt PMC row and rejects a non-finite reading;
+  // SRR splits the row the window holds, exactly as the fleet does.
+  const DynamicTrr::StepPrep prep = lane_.prepare(pmcs, im_reading);
+  const DynamicTrr::Commit commit = lane_.commit(prep, lane_.predict(prep));
   PowerEstimate est;
-  // DynamicTrr may reject an implausible reading; only report measured when
-  // the reading actually superseded the prediction.
-  const DynamicTrr::Commit commit = dynamic_trr_.step(row, im_reading);
   est.node_w = commit.estimate;
   est.measured = commit.accepted;
-  const auto comp = srr_.predict_one(row, est.node_w, srr_scratch_);
+  const auto comp =
+      srr_.predict_one(lane_.trr.prepared_row(prep), est.node_w, srr_scratch_);
   est.cpu_w = comp.cpu_w;
   est.mem_w = comp.mem_w;
-  // Adaptive sampling: feed the controller the committed estimate and the
-  // substituted row (exactly what the fleet stepper feeds per lane, keeping
-  // serial-vs-batched decision streams identical). Measured ticks are NOT
-  // observed: they return the IM reading verbatim, so the model-vs-meter
-  // bias would register as a volatility jump on every reading tick and the
-  // score could never separate calm from volatile regimes. A returned
-  // decision is a mode change taking effect from the next tick.
-  if (controller_ && !est.measured) {
-    if (const auto d = controller_->observe(est.node_w, row)) {
-      dynamic_trr_.set_use_cheap(d->use_cheap);
-    }
-  }
   return est;
 }
 
@@ -301,20 +262,9 @@ PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
     throw std::invalid_argument(
         "HighRpm::on_tick(tenants): tenant row size != tenants * events");
   }
-  // Hold a corrupt tenant row exactly like the node row: the attribution
-  // head sees the last good per-cgroup readings (zeros before any).
-  std::span<const double> trow = tenant_pmcs;
-  std::vector<double> theld;
-  if (!math::all_finite(tenant_pmcs)) {
-    if (last_good_tenant_row_.size() == tenant_pmcs.size()) {
-      theld = last_good_tenant_row_;
-    } else {
-      theld.assign(tenant_pmcs.size(), 0.0);
-    }
-    trow = theld;
-  } else {
-    last_good_tenant_row_.assign(tenant_pmcs.begin(), tenant_pmcs.end());
-  }
+  tenant_row_.assign(tenant_pmcs.begin(), tenant_pmcs.end());
+  lane_.tenant_hold.apply(tenant_row_);
+  const std::span<const double> trow = tenant_row_;
 
   // The node pipeline is byte-identical to the 2-arg overload — attribution
   // rides on top of it, it never perturbs node/component estimates or
@@ -391,54 +341,6 @@ void HighRpm::recalibrate_attribution() {
     }
   }
   tenant_srr_.fine_tune_multi(x, p_node, targets, cfg_.self_cal.epochs);
-}
-
-MonitorService::MonitorService(HighRpm golden) : golden_(std::move(golden)) {
-  if (!golden_.trained()) {
-    throw std::invalid_argument("MonitorService: golden instance untrained");
-  }
-}
-
-void MonitorService::register_node(const std::string& node_id) {
-  if (has_node(node_id)) {
-    throw std::invalid_argument("MonitorService: duplicate node '" + node_id +
-                                "'");
-  }
-  HighRpm instance = golden_;
-  instance.reset_stream();
-  nodes_.emplace_back(node_id, std::move(instance));
-}
-
-bool MonitorService::has_node(const std::string& node_id) const {
-  for (const auto& [id, _] : nodes_) {
-    if (id == node_id) return true;
-  }
-  return false;
-}
-
-HighRpm& MonitorService::node_mut(const std::string& node_id) {
-  for (auto& [id, inst] : nodes_) {
-    if (id == node_id) return inst;
-  }
-  throw std::out_of_range("MonitorService: unknown node '" + node_id + "'");
-}
-
-const HighRpm& MonitorService::node(const std::string& node_id) const {
-  for (const auto& [id, inst] : nodes_) {
-    if (id == node_id) return inst;
-  }
-  throw std::out_of_range("MonitorService: unknown node '" + node_id + "'");
-}
-
-PowerEstimate MonitorService::on_tick(const std::string& node_id,
-                                      std::span<const double> pmcs,
-                                      std::optional<double> im_reading) {
-  return node_mut(node_id).on_tick(pmcs, im_reading);
-}
-
-void MonitorService::active_learning(const std::string& node_id,
-                                     const measure::CollectedRun& run) {
-  node_mut(node_id).active_learning(run);
 }
 
 }  // namespace highrpm::core

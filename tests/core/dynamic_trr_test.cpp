@@ -156,11 +156,7 @@ TEST(DynamicTrr, FineTuneApiRejectsUntrained) {
 
 TEST(DynamicTrr, ColdStartFallsBackToTrainingLabelMean) {
   const auto train = collect(workloads::fft(), 250, 15);
-  DynamicTrrConfig cfg = fast_config();
-  // Disable the validation layer so the estimate is the raw model output:
-  // this isolates the cold-start prior from the plausibility clamp.
-  cfg.validate_inputs = false;
-  DynamicTrr trr(cfg);
+  DynamicTrr trr(fast_config());
   trr.train_single(train.dataset.features(), train.dataset.target("P_NODE"));
   const double mean = trr.train_label_mean();
   EXPECT_GT(mean, 0.0);

@@ -102,40 +102,6 @@ TEST_F(HighRpmTest, ActiveLearningRunsAndCounts) {
   EXPECT_EQ(h.active_learning_rounds(), before + 1);
 }
 
-TEST_F(HighRpmTest, MonitorServiceManagesNodes) {
-  MonitorService service(*framework_);
-  service.register_node("cn-0");
-  service.register_node("cn-1");
-  EXPECT_EQ(service.node_count(), 2u);
-  EXPECT_TRUE(service.has_node("cn-0"));
-  EXPECT_FALSE(service.has_node("cn-9"));
-  EXPECT_THROW(service.register_node("cn-0"), std::invalid_argument);
-
-  const auto run = test_run(5, 40);
-  const auto& features = run.dataset.features();
-  for (std::size_t t = 0; t < 20; ++t) {
-    const auto e = service.on_tick("cn-0", features.row(t), std::nullopt);
-    EXPECT_GT(e.node_w, 0.0);
-  }
-  EXPECT_THROW(service.on_tick("cn-9", features.row(0), std::nullopt),
-               std::out_of_range);
-}
-
-TEST_F(HighRpmTest, MonitorServicePerNodeIsolation) {
-  MonitorService service(*framework_);
-  service.register_node("a");
-  service.register_node("b");
-  const auto run = test_run(6, 150);
-  // Active-learn only node "a"; node "b" must be untouched.
-  service.active_learning("a", run);
-  EXPECT_EQ(service.node("a").active_learning_rounds(), 1u);
-  EXPECT_EQ(service.node("b").active_learning_rounds(), 0u);
-}
-
-TEST(MonitorService, RejectsUntrainedGolden) {
-  EXPECT_THROW(MonitorService(HighRpm(fast_config())), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // K-way per-tenant attribution + SmartWatts-style self-calibration.
 

@@ -8,8 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "highrpm/core/dynamic_trr.hpp"
+#include "highrpm/core/fleet.hpp"
 #include "highrpm/core/highrpm.hpp"
 #include "highrpm/core/static_trr.hpp"
 #include "highrpm/measure/faults.hpp"
@@ -345,6 +348,74 @@ TEST_F(FacadeDegradationTest, ActiveLearningToleratesFaultedRun) {
   for (std::size_t t = 0; t < 20; ++t) {
     EXPECT_TRUE(std::isfinite(h.on_tick(f.row(t), std::nullopt).node_w));
   }
+}
+
+// One hold policy through every entry point. Readings arrive every 10th
+// tick; ticks 25 and 26 carry a NaN PMC value and the reading at tick 40 is
+// NaN. `tick` steps one tick through the entry point under test and `trr`
+// is the DynamicTrr behind it: the held rows must be counted there, the
+// reading at tick 30 (whose window 21..30 holds them) must be accepted
+// without a fine-tune, and the NaN reading must count as rejected.
+template <typename Tick>
+void expect_one_hold_policy(const core::DynamicTrr& trr, Tick tick) {
+  const auto run = collect(workloads::fft(), 60, 309);
+  const auto& f = run.dataset.features();
+  const auto labels = run.dataset.target("P_NODE");
+  const std::size_t substituted0 = trr.substituted_rows();
+  std::vector<double> row(f.cols());
+  for (std::size_t t = 0; t < run.num_ticks(); ++t) {
+    std::copy(f.row(t).begin(), f.row(t).end(), row.begin());
+    if (t == 25 || t == 26) row[1] = kNan;
+    std::optional<double> reading;
+    if (t % 10 == 0) reading = t == 40 ? kNan : labels[t];
+    const std::size_t finetunes = trr.finetune_count();
+    const std::size_t rejected = trr.rejected_readings();
+    const core::PowerEstimate est = tick(row, reading);
+    EXPECT_TRUE(std::isfinite(est.node_w)) << "tick " << t;
+    if (t == 20 || t == 50) {
+      // Clean full windows are trained on.
+      EXPECT_TRUE(est.measured) << "tick " << t;
+      EXPECT_EQ(trr.finetune_count(), finetunes + 1) << "tick " << t;
+    } else if (t == 30) {
+      EXPECT_TRUE(est.measured);
+      EXPECT_EQ(trr.finetune_count(), finetunes)
+          << "a window holding substituted rows was trained on";
+    } else if (t == 40) {
+      EXPECT_FALSE(est.measured);
+      EXPECT_EQ(trr.rejected_readings(), rejected + 1)
+          << "a NaN reading was dropped without counting as rejected";
+    }
+  }
+  EXPECT_EQ(trr.substituted_rows() - substituted0, 2u);
+}
+
+TEST_F(FacadeDegradationTest, HeldWindowsSkipFineTuneAndNanReadingIsRejected) {
+  core::HighRpm h = *framework_;
+  h.reset_stream();
+  ASSERT_TRUE(h.config().dynamic_trr.online_finetune);
+  expect_one_hold_policy(
+      h.dynamic_trr(),
+      [&](std::span<const double> row, std::optional<double> reading) {
+        return h.on_tick(row, reading);
+      });
+  EXPECT_GT(h.held_rows(), 0u);
+  EXPECT_EQ(h.dynamic_trr().substituted_rows(), h.held_rows());
+}
+
+TEST_F(FacadeDegradationTest,
+       FleetLaneHeldWindowsSkipFineTuneAndNanReadingIsRejected) {
+  core::FleetStepper fleet(*framework_, 1);
+  ASSERT_FALSE(fleet.shared_rnn());  // online fine-tune: per-lane weights
+  expect_one_hold_policy(
+      fleet.node_trr(0),
+      [&](std::span<const double> row, std::optional<double> reading) {
+        math::Matrix pmcs(1, row.size());
+        std::copy(row.begin(), row.end(), pmcs.row(0).begin());
+        core::PowerEstimate out;
+        fleet.step_tick(pmcs, std::span<const std::optional<double>>(&reading, 1),
+                        std::span<core::PowerEstimate>(&out, 1));
+        return out;
+      });
 }
 
 TEST_F(FacadeDegradationTest, RestoreLogSurvivesFaultedRun) {

@@ -198,8 +198,8 @@ TEST(AllocRegression, FleetSteadyStateTickIsAllocationFree) {
 
 TEST(AllocRegression, TenantAttributionOnTickIsAllocationFree) {
   // The K-way streaming tick inherits the facade's steady-state contract:
-  // attribution predict uses caller-owned scratch, the hold path reuses
-  // last_good_tenant_row_'s capacity, and self-calibration's measured-tick
+  // attribution predict uses caller-owned scratch, the tenant-row hold
+  // reuses the facade's row scratch, and self-calibration's measured-tick
   // buffering writes into the ring preallocated at construction. Only an
   // actual drift TRIGGER (fine-tune) may allocate — pinned out here with an
   // unreachable threshold.
@@ -249,6 +249,54 @@ TEST(AllocRegression, TenantAttributionOnTickIsAllocationFree) {
   EXPECT_EQ(at::count() - before, 0u)
       << "tenant HighRpm::on_tick allocated on a steady-state tick";
   EXPECT_EQ(model.self_cal_triggers(), 0u);
+}
+
+TEST(AllocRegression, HeldRowFacadeTickIsAllocationFree) {
+  // A degraded tick holds its rows in storage the stream already owns: the
+  // node row in DynamicTrr's ring slot, the tenant row in the facade's row
+  // scratch. Neither may heap-copy the last good row.
+  measure::Collector collector;
+  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
+  std::vector<measure::CollectedRun> runs;
+  runs.push_back(
+      collector.collect_tenants(sim::PlatformConfig::arm(), mix, 120, 9));
+  HighRpmConfig cfg;
+  cfg.dynamic_trr.rnn.epochs = 4;
+  cfg.dynamic_trr.online_finetune = false;
+  cfg.srr.epochs = 10;
+  cfg.tenants = 2;
+  cfg.tenant_srr.epochs = 10;
+  HighRpm model(cfg);
+  model.initial_learning(runs);
+  model.fit_attribution(runs);
+
+  const auto stream =
+      collector.collect_tenants(sim::PlatformConfig::arm(), mix, 40, 10);
+  const auto& features = stream.dataset.features();
+  const auto& node = stream.dataset.target("P_NODE");
+  const std::size_t warmup = 2 * model.config().miss_interval + 1;
+  for (std::size_t t = 0; t < warmup; ++t) {
+    std::optional<double> reading;
+    if (stream.measured[t]) reading = node[t];
+    (void)model.on_tick(features.row(t), stream.tenant_pmcs.row(t), reading);
+  }
+
+  const std::vector<double> nan_row(features.cols(), std::nan(""));
+  const std::vector<double> nan_trow(stream.tenant_pmcs.cols(), std::nan(""));
+  const std::size_t held0 = model.held_rows();
+  const auto before = at::count();
+  for (std::size_t t = 0; t < 3; ++t) {
+    PowerEstimate est;
+    {
+      const at::Armed armed;
+      est = model.on_tick(nan_row, nan_trow, std::nullopt);
+    }
+    ASSERT_TRUE(std::isfinite(est.node_w));
+    ASSERT_TRUE(std::isfinite(est.tenant_w[0]));
+  }
+  EXPECT_EQ(at::count() - before, 0u)
+      << "HighRpm::on_tick allocated on a held-row tick";
+  EXPECT_EQ(model.held_rows() - held0, 3u);
 }
 
 TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
