@@ -1,14 +1,10 @@
 // highrpm::core::FleetStepper — batched structure-of-arrays stepping of N
 // monitored nodes.
 //
-// The per-node streaming path (HighRpm::on_tick) steps one node at a time
-// through its core::Lane, then Srr::predict_one — a dot product per output
-// unit per node per tick. FleetStepper runs the same lane kernel for a
-// whole fleet, batching only the predict and SRR legs: nodes are grouped
-// into fixed shards, each shard packs its lanes' ring windows into one
-// contiguous batch matrix, the RNN runs one GEMM per layer per shard
-// (shared-weights fleets), the SRR MLP runs one GEMM per layer per shard,
-// and shards execute in parallel on the runtime thread pool.
+// FleetStepper runs core::tick_cohort — the kernel HighRpm::on_tick runs
+// on its one lane — over a whole fleet: nodes are grouped into fixed
+// shards, each shard is one cohort (one GEMM per RNN/MLP layer), and
+// shards execute in parallel on the runtime thread pool.
 //
 // Determinism contract: every lane's outputs are byte-identical to the
 // serial per-node path (a HighRpm clone stepped alone) at every fleet
@@ -33,11 +29,8 @@ struct FleetConfig {
   /// scalar), only the GEMM shapes and the parallel grain.
   ///
   /// Boundary contract (validated by the FleetStepper constructor):
-  /// shard_lanes == 0 is rejected with std::invalid_argument — it used to
-  /// be silently rewritten to 1, turning a config typo into a degenerate
-  /// one-lane-per-shard fleet. Values above the fleet size are clamped to
-  /// the fleet size (one full shard), which is well-defined and what a
-  /// "don't shard" request means.
+  /// shard_lanes == 0 is rejected with std::invalid_argument; values above
+  /// the fleet size are clamped to it (one full shard: "don't shard").
   std::size_t shard_lanes = 64;
 };
 
@@ -45,9 +38,11 @@ class FleetStepper {
  public:
   /// Build a fleet of `nodes` lanes from a trained golden instance: each
   /// lane is a reset copy of the golden's lane (per-node window/stream
-  /// state, per-node weights when online fine-tuning is on, and a fresh
-  /// controller when adaptive); the SRR is shared — streaming never
-  /// mutates its weights.
+  /// state, per-node weights when online fine-tuning is on, a fresh
+  /// controller when adaptive, and per-node self-calibration when the
+  /// golden self-calibrates); the SRR and attribution heads are shared —
+  /// streaming never mutates them (a self-calibrating lane fine-tunes its
+  /// own copy).
   FleetStepper(const HighRpm& golden, std::size_t nodes, FleetConfig cfg = {});
 
   /// Per-shard callbacks invoked on the thread executing the shard,
@@ -67,47 +62,20 @@ class FleetStepper {
   /// attribution head, pass tenant_pmcs (nodes x K*kNumPmcEvents, row i =
   /// node i's concatenated per-cgroup rows) and out[i] additionally gets
   /// its tenant split — bit-identical to the serial facade's 3-arg
-  /// on_tick, batched as one extra GEMM per MLP layer per shard. Leaving
-  /// tenant_pmcs null skips attribution (out[i].tenants stays 0).
+  /// on_tick, batched as one extra GEMM per MLP layer per shard (per-lane
+  /// predicts when the lanes self-calibrate). Leaving tenant_pmcs null
+  /// skips attribution (out[i].tenants stays 0).
   void step_tick(const math::Matrix& pmcs,
                  std::span<const std::optional<double>> readings,
                  std::span<PowerEstimate> out, const ShardHooks& hooks = {},
                  const math::Matrix* tenant_pmcs = nullptr);
 
-  /// Caller-owned scratch for step_cohort. All buffers reuse their
-  /// allocations call over call: once a Cohort has seen its largest cohort
-  /// size, further steps through it perform zero heap allocations.
-  struct Cohort {
-    math::Matrix rows;       // L x F held PMC rows (DynamicTrr::prepared_row)
-    math::Matrix zx_batch;   // (L*T) x gates packed ring projections
-    math::Matrix rnn_out;    // L x T batched RNN predictions
-    ml::SequenceRegressor::Workspace rnn_ws;
-    std::vector<DynamicTrr::StepPrep> preps;
-    std::vector<double> raw;     // raw RNN estimate per lane
-    std::vector<double> node_w;  // committed node power per lane
-    std::vector<ComponentEstimate> comp;
-    Srr::BatchScratch srr;
-    // K-way attribution staging (untouched when tenant_pmcs is null).
-    math::Matrix trows;       // L x K*F held tenant rows
-    math::Matrix tenant_out;  // L x K attribution estimates
-    Srr::BatchScratch tsrr;
-  };
-
-  /// Step an arbitrary cohort of lanes one tick — the primitive both
+  /// Step an arbitrary cohort of the fleet's lanes one tick — what both
   /// step_tick (one cohort per shard) and the serve daemon's consumer pool
-  /// (one cohort per drain cycle) run on. lane_ids[li] names the lane for
-  /// cohort position li; pmcs.row(pmc_row0 + li), readings[li], and out[li]
-  /// are that position's input row, optional IM reading, and output slot.
-  ///
-  /// Thread-safety contract: concurrent calls are safe iff their lane-id
-  /// sets are disjoint and each call uses its own Cohort — lanes never
-  /// share mutable state, the SRR/shared-RNN models are only read, and all
-  /// per-call staging lives in the caller's scratch. lane_ids must not
-  /// contain duplicates. Outputs are bit-identical to stepping each lane
-  /// through the serial per-node path, for any cohort grouping.
-  /// tenant_pmcs / tenant_row0 mirror pmcs / pmc_row0 for the attribution
-  /// input (row tenant_row0 + li = cohort position li's tenant row); null
-  /// skips attribution for this cohort.
+  /// (one cohort per drain cycle) run: core::tick_cohort on this fleet's
+  /// lanes and shared models. Arguments and the thread-safety contract are
+  /// tick_cohort's; tenant rows without a trained attribution head on the
+  /// golden throw std::logic_error.
   void step_cohort(std::span<const std::size_t> lane_ids,
                    const math::Matrix& pmcs, std::size_t pmc_row0,
                    std::span<const std::optional<double>> readings,
@@ -126,7 +94,8 @@ class FleetStepper {
   /// True when every lane shares one set of RNN weights (online fine-tune
   /// disabled), enabling the one-GEMM-per-layer cross-node fast path.
   bool shared_rnn() const noexcept { return shared_rnn_; }
-  const DynamicTrr& node_trr(std::size_t i) const { return lanes_[i].trr; }
+  /// Lane i's stream state: its DynamicTrr, controller and SelfCal.
+  const Lane& lane(std::size_t i) const { return lanes_[i]; }
   /// Lane i's adaptive-sampling controller, or nullptr when the golden
   /// instance was not adaptive. Each lane observes its own committed
   /// estimates, so heterogeneous fleets diverge in mode lane by lane while
@@ -137,13 +106,9 @@ class FleetStepper {
 
  private:
   /// Per-shard state, owned by exactly one parallel_for index per tick:
-  /// the shard's contiguous lane range as a prebuilt cohort id list plus
-  /// its own Cohort scratch (reused tick over tick). A shard tick is just
-  /// step_cohort over [begin, end) — one code path for the whole-fleet and
-  /// cohort-at-a-time callers, so they cannot drift.
+  /// the shard's contiguous lane ids and its own Cohort scratch. A shard
+  /// tick is just step_cohort over those ids.
   struct Shard {
-    std::size_t begin = 0;  // lane range [begin, end)
-    std::size_t end = 0;
     std::vector<std::size_t> ids;
     Cohort scratch;
   };
@@ -153,9 +118,8 @@ class FleetStepper {
   /// fleets, the one RNN every lane's window batches through. Kept as
   /// copies so concurrent shard reads never alias a lane's scratch.
   Srr srr_;
-  /// Shared K-way attribution head (copied from the golden; const at
-  /// streaming time — the fleet path never self-calibrates, which is why
-  /// the constructor rejects a golden with self_cal enabled).
+  /// Shared K-way attribution head (copied from the golden; never
+  /// mutated — a self-calibrating lane fine-tunes its own copy).
   Srr tenant_srr_;
   std::size_t tenants_ = 0;
   ml::SequenceRegressor shared_model_;

@@ -8,7 +8,6 @@
 //   on_tick():     online streaming monitoring (DynamicTRR + SRR)
 #pragma once
 
-#include <array>
 #include <optional>
 #include <span>
 
@@ -19,43 +18,8 @@
 #include "highrpm/core/srr.hpp"
 #include "highrpm/core/static_trr.hpp"
 #include "highrpm/measure/collector.hpp"
-#include "highrpm/obs/counter.hpp"
 
 namespace highrpm::core {
-
-/// Fixed capacity for per-tenant estimates in PowerEstimate: keeps the
-/// per-tick output type allocation-free (the 0-alloc steady-state contract
-/// extends to K-way attribution). Raising it is an ABI-ish change — fleet
-/// scratch and serve snapshots size off it.
-inline constexpr std::size_t kMaxTenants = 8;
-
-/// SmartWatts-style self-calibration: instead of fine-tuning on a fixed
-/// schedule, the facade tracks the attribution head's drift online and
-/// triggers the active-learning-style fine-tune only when the model has
-/// actually wandered. The drift signal is measurement-anchored: on every
-/// accepted IM reading, compare the head's clamped pre-projection output
-/// sum against the trusted budget (reading - P_Other) — a latent workload
-/// change (new instruction mix, new energy weights) shows up there even
-/// when every PMC looks the same. The EWMA of that relative error crossing
-/// drift_threshold_pct triggers a fine-tune on the buffered recent
-/// measured ticks, with pseudo-labels rescaled to the node budget (the
-/// same consistency calibration active_learning applies).
-struct SelfCalConfig {
-  bool enabled = false;
-  /// EWMA(relative drift %) level that triggers recalibration.
-  double drift_threshold_pct = 8.0;
-  /// EWMA smoothing factor (weight of the newest measured tick).
-  double ewma_alpha = 0.2;
-  /// Measured-tick ring buffer used as the recalibration set; also the
-  /// minimum number of buffered ticks before a trigger can fire.
-  std::size_t buffer_ticks = 48;
-  std::size_t min_buffered = 24;
-  /// Ticks (total, not just measured) between triggers — hysteresis so a
-  /// single drifted window cannot thrash repeated fine-tunes.
-  std::size_t cooldown_ticks = 200;
-  /// Fine-tune epochs per trigger (matches active_finetune_epochs scale).
-  std::size_t epochs = 2;
-};
 
 struct HighRpmConfig {
   std::size_t miss_interval = 10;
@@ -63,9 +27,6 @@ struct HighRpmConfig {
   DynamicTrrConfig dynamic_trr{};
   SrrConfig srr{};
   SamplerConfig sampler{};
-  /// Constant peripheral draw assumed by the consistency calibration
-  /// (paper §5.2: P_Other is a constant ~25 W).
-  double p_other_w = 25.0;
   std::size_t active_finetune_epochs = 2;
   /// Co-located tenant count for K-way attribution (0 disables it — the
   /// framework then behaves exactly as the two-component pipeline).
@@ -93,20 +54,6 @@ struct HighRpmConfig {
   /// pipeline.
   bool adaptive = false;
   adapt::ControllerConfig adapt{};
-};
-
-/// One tick's power picture as HighRPM reports it.
-struct PowerEstimate {
-  double node_w = 0.0;
-  double cpu_w = 0.0;
-  double mem_w = 0.0;
-  /// True when node_w is a real IM reading rather than a TRR estimate.
-  bool measured = false;
-  /// K-way attribution (first `tenants` entries valid; 0 when attribution
-  /// is off). Fixed array, not a vector: PowerEstimate is returned every
-  /// tick and must stay allocation-free.
-  std::size_t tenants = 0;
-  std::array<double, kMaxTenants> tenant_w{};
 };
 
 /// Offline restoration of a whole run.
@@ -149,14 +96,10 @@ class HighRpm {
 
   /// K-way streaming tick: `tenant_pmcs` is the K tenants' per-cgroup PMC
   /// rows concatenated in tenant order (cfg.tenants * kNumPmcEvents
-  /// values). Runs the node pipeline (DynamicTRR + component SRR) exactly
-  /// like the 2-arg overload — same estimates, same adaptive decisions —
-  /// then fills PowerEstimate::tenant_w from the attribution head. A
-  /// non-finite tenant row is held (RowHold) just like the node row. When
-  /// self-calibration is enabled, measured ticks feed the drift EWMA and
-  /// may trigger an online fine-tune of the attribution head; the trigger
-  /// itself allocates (training is not a steady-state path), but
-  /// non-trigger ticks stay 0-alloc once warm.
+  /// values). The node pipeline is exactly the 2-arg overload's; then
+  /// PowerEstimate::tenant_w comes from the attribution head. A non-finite
+  /// tenant row is held (RowHold) like the node row. With self-calibration
+  /// on, measured ticks feed the lane's SelfCal.
   PowerEstimate on_tick(std::span<const double> pmcs,
                         std::span<const double> tenant_pmcs,
                         std::optional<double> im_reading);
@@ -172,16 +115,20 @@ class HighRpm {
   const DynamicTrr& dynamic_trr() const noexcept { return lane_.trr; }
   const Lane& lane() const noexcept { return lane_; }
   const Srr& srr() const noexcept { return srr_; }
-  /// The K-way attribution head (fitted by fit_attribution).
-  Srr& attribution_srr() noexcept { return tenant_srr_; }
+  /// The shared K-way attribution head (fitted by fit_attribution). Once
+  /// self-calibration triggers, the lane predicts with its own copy
+  /// (lane().cal->head).
   const Srr& attribution_srr() const noexcept { return tenant_srr_; }
   bool attribution_trained() const noexcept { return tenant_srr_.fitted(); }
-  /// Self-calibration diagnostics: current drift EWMA (percent of the IM
-  /// budget) and cumulative drift-triggered fine-tunes (obs::Counter, safe
-  /// to poll from a monitor thread).
-  double self_cal_drift_pct() const noexcept { return drift_ewma_pct_; }
+  /// Self-calibration diagnostics: the lane's drift EWMA (percent of the
+  /// IM budget) and cumulative drift-triggered fine-tunes (obs::Counter,
+  /// safe to poll from a monitor thread); 0 when self-calibration is off.
+  double self_cal_drift_pct() const noexcept {
+    return lane_.cal ? lane_.cal->drift_ewma_pct : 0.0;
+  }
   std::size_t self_cal_triggers() const noexcept {
-    return static_cast<std::size_t>(selfcal_triggers_.value());
+    return lane_.cal ? static_cast<std::size_t>(lane_.cal->triggers.value())
+                     : 0;
   }
   std::size_t active_learning_rounds() const noexcept { return al_rounds_; }
   /// Streaming ticks whose PMC row was non-finite and had to be held:
@@ -201,13 +148,15 @@ class HighRpm {
  private:
   /// Fit a fresh StaticTRR on a run's sparse IM readings and restore it.
   std::vector<double> static_restore(const measure::CollectedRun& run) const;
-  /// Drift-triggered fine-tune of the attribution head on the buffered
-  /// measured ticks, with pseudo-labels rescaled to the node budget.
-  void recalibrate_attribution();
+  /// Both on_tick overloads: stage the inputs as 1-row matrices and run
+  /// the lane as a cohort of one (trows null skips attribution).
+  PowerEstimate tick(std::span<const double> pmcs, const math::Matrix* trows,
+                     std::optional<double> im_reading);
 
   HighRpmConfig cfg_;
-  /// The per-tick kernel: DynamicTRR, the tenant-row hold and, iff
-  /// cfg_.adaptive, the adaptive-sampling controller.
+  /// The stream: DynamicTRR, the tenant-row hold and, iff cfg_.adaptive,
+  /// the adaptive-sampling controller; iff cfg_.tenants > 0 and
+  /// cfg_.self_cal.enabled, the self-calibration state.
   Lane lane_;
   Srr srr_;
   /// K-way attribution head (cfg_.tenants outputs). Default-constructed but
@@ -215,22 +164,11 @@ class HighRpm {
   Srr tenant_srr_;
   ReinforcementSampler sampler_;
   std::size_t al_rounds_ = 0;
-  /// Reused across ticks so the steady-state SRR predict and the tenant-row
-  /// hold perform zero heap allocations once warm.
-  Srr::Scratch srr_scratch_;
-  Srr::Scratch tenant_scratch_;
-  std::vector<double> tenant_row_;
-  // --- self-calibration state (cfg_.self_cal) ---
-  /// Ring buffer of recent measured ticks: tenant rows + the IM reading.
-  /// Sized at construction; the recalibration set when a trigger fires.
-  math::Matrix selfcal_rows_;
-  std::vector<double> selfcal_node_w_;
-  std::size_t selfcal_count_ = 0;  // valid entries (saturates at capacity)
-  std::size_t selfcal_head_ = 0;   // next ring slot to overwrite
-  double drift_ewma_pct_ = 0.0;
-  bool drift_seeded_ = false;
-  std::size_t selfcal_cooldown_ = 0;  // ticks until the next trigger may fire
-  obs::Counter selfcal_triggers_;
+  /// Reused across ticks so the steady-state tick performs zero heap
+  /// allocations once warm.
+  Cohort cohort_;
+  math::Matrix tick_pmcs_;   // 1 x F
+  math::Matrix tick_trows_;  // 1 x K*F
 };
 
 }  // namespace highrpm::core

@@ -73,12 +73,6 @@ class SequenceRegressor {
   /// as long as each caller brings its own workspace.
   void predict_into(const math::Matrix& steps, std::vector<double>& out,
                     Workspace& ws) const;
-  /// Batched predict_into over `lanes` independent windows of equal length,
-  /// packed lane-major into `windows` ((lanes*T) x F, lane i's window in
-  /// rows [i*T, (i+1)*T)). `out` becomes lanes x T, row i bit-identical to
-  /// predict_into on lane i's window alone.
-  void predict_batch_into(const math::Matrix& windows, std::size_t lanes,
-                          math::Matrix& out, Workspace& ws) const;
 
   /// Layer-0 input projection of one raw input row, the part of a predict
   /// that depends on that row alone: the row is standardized into `x`

@@ -154,7 +154,7 @@ class Daemon {
   /// performs zero heap allocations.
   struct ConsumerState {
     std::size_t begin = 0, end = 0;  // owned node range [begin, end)
-    core::FleetStepper::Cohort cohort;
+    core::Cohort cohort;
     std::vector<std::size_t> ids;
     math::Matrix rows;
     std::vector<std::optional<double>> readings;

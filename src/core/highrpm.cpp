@@ -26,7 +26,8 @@ HighRpm::HighRpm(HighRpmConfig cfg)
     : cfg_(std::move(cfg)),
       lane_{.trr = DynamicTrr(lane_trr_config(cfg_)),
             .tenant_hold = {},
-            .ctl = std::nullopt},
+            .ctl = std::nullopt,
+            .cal = std::nullopt},
       srr_(cfg_.srr),
       tenant_srr_([&] {
         SrrConfig t = cfg_.tenant_srr;
@@ -40,14 +41,7 @@ HighRpm::HighRpm(HighRpmConfig cfg)
     throw std::invalid_argument("HighRpm: tenants exceeds kMaxTenants");
   }
   if (cfg_.tenants > 0 && cfg_.self_cal.enabled) {
-    const auto& sc = cfg_.self_cal;
-    if (sc.buffer_ticks == 0 || sc.min_buffered > sc.buffer_ticks ||
-        !(sc.ewma_alpha > 0.0) || sc.ewma_alpha > 1.0) {
-      throw std::invalid_argument("HighRpm: bad self_cal config");
-    }
-    selfcal_rows_ =
-        math::Matrix(sc.buffer_ticks, cfg_.tenants * sim::kNumPmcEvents);
-    selfcal_node_w_.resize(sc.buffer_ticks);
+    lane_.cal.emplace(cfg_.self_cal, cfg_.tenants * sim::kNumPmcEvents);
   }
   if (cfg_.adaptive) {
     adapt::ControllerConfig acfg = cfg_.adapt;
@@ -150,7 +144,7 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
     // Rescale the component split so it sums to node - P_Other: the node
     // reading is trusted (it is measurement-derived), the split ratio is
     // the model's.
-    const double budget = std::max(1.0, s_node[i] - cfg_.p_other_w);
+    const double budget = std::max(1.0, s_node[i] - srr_.config().p_other_w);
     const double total = std::max(1e-6, est.cpu_w + est.mem_w);
     s_cpu[i] = est.cpu_w * budget / total;
     s_mem[i] = est.mem_w * budget / total;
@@ -203,29 +197,34 @@ void HighRpm::fit_attribution(std::span<const measure::CollectedRun> runs) {
   const auto set =
       build_attribution_training_set(runs, tenant_srr_.config(), scfg);
   tenant_srr_.fit_multi(set.x, set.p_node, set.targets);
-  // A fresh head means fresh drift state: old buffered ticks and the old
-  // EWMA describe the pre-fit model.
-  selfcal_count_ = 0;
-  selfcal_head_ = 0;
-  drift_ewma_pct_ = 0.0;
-  drift_seeded_ = false;
-  selfcal_cooldown_ = 0;
+  // A fresh head means fresh drift state: the lane's own head, buffered
+  // ticks and EWMA all describe the pre-fit model.
+  if (lane_.cal) {
+    lane_.cal->reset();
+    lane_.cal->head.reset();
+  }
 }
 
-void HighRpm::reset_stream() {
-  lane_.reset();
-  // Self-calibration observations belong to the stream, not the model: a new
-  // stream (or a cloned per-node instance) starts with an empty buffer and
-  // an unseeded drift EWMA. The fine-tuned weights themselves persist.
-  selfcal_count_ = 0;
-  selfcal_head_ = 0;
-  drift_ewma_pct_ = 0.0;
-  drift_seeded_ = false;
-  selfcal_cooldown_ = 0;
-}
+void HighRpm::reset_stream() { lane_.reset(); }
 
 PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
                                std::optional<double> im_reading) {
+  return tick(pmcs, nullptr, im_reading);
+}
+
+PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
+                               std::span<const double> tenant_pmcs,
+                               std::optional<double> im_reading) {
+  // The kernel rejects tenant rows without a fitted head (logic_error) and
+  // of the wrong width (invalid_argument).
+  tick_trows_.resize(1, tenant_pmcs.size());
+  std::copy(tenant_pmcs.begin(), tenant_pmcs.end(), tick_trows_.row(0).begin());
+  return tick(pmcs, &tick_trows_, im_reading);
+}
+
+PowerEstimate HighRpm::tick(std::span<const double> pmcs,
+                            const math::Matrix* trows,
+                            std::optional<double> im_reading) {
   static obs::Histogram& tick_hist =
       obs::Registry::instance().histogram("core.highrpm.on_tick_ns");
   static obs::Counter& ticks_total =
@@ -235,112 +234,20 @@ PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
   if (!trained()) {
     throw std::logic_error("HighRpm::on_tick: run initial_learning first");
   }
-  // The lane holds a corrupt PMC row and rejects a non-finite reading;
-  // SRR splits the row the window holds, exactly as the fleet does.
-  const DynamicTrr::StepPrep prep = lane_.prepare(pmcs, im_reading);
-  const DynamicTrr::Commit commit = lane_.commit(prep, lane_.predict(prep));
+  tick_pmcs_.resize(1, pmcs.size());
+  std::copy(pmcs.begin(), pmcs.end(), tick_pmcs_.row(0).begin());
+  // A cohort of one lane predicting with its own model.
+  const std::size_t id = 0;
+  const CohortModels models{
+      .srr = srr_,
+      .head = tenant_srr_.fitted() ? &tenant_srr_ : nullptr,
+      .shared_rnn = nullptr};
   PowerEstimate est;
-  est.node_w = commit.estimate;
-  est.measured = commit.accepted;
-  const auto comp =
-      srr_.predict_one(lane_.trr.prepared_row(prep), est.node_w, srr_scratch_);
-  est.cpu_w = comp.cpu_w;
-  est.mem_w = comp.mem_w;
+  tick_cohort(std::span<Lane>(&lane_, 1), std::span<const std::size_t>(&id, 1),
+              models, tick_pmcs_, 0,
+              std::span<const std::optional<double>>(&im_reading, 1),
+              std::span<PowerEstimate>(&est, 1), cohort_, trows);
   return est;
-}
-
-PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
-                               std::span<const double> tenant_pmcs,
-                               std::optional<double> im_reading) {
-  if (cfg_.tenants == 0) {
-    throw std::logic_error("HighRpm::on_tick(tenants): cfg.tenants is 0");
-  }
-  if (!tenant_srr_.fitted()) {
-    throw std::logic_error("HighRpm::on_tick(tenants): fit_attribution first");
-  }
-  if (tenant_pmcs.size() != cfg_.tenants * sim::kNumPmcEvents) {
-    throw std::invalid_argument(
-        "HighRpm::on_tick(tenants): tenant row size != tenants * events");
-  }
-  tenant_row_.assign(tenant_pmcs.begin(), tenant_pmcs.end());
-  lane_.tenant_hold.apply(tenant_row_);
-  const std::span<const double> trow = tenant_row_;
-
-  // The node pipeline is byte-identical to the 2-arg overload — attribution
-  // rides on top of it, it never perturbs node/component estimates or
-  // adaptive decisions.
-  PowerEstimate est = on_tick(pmcs, im_reading);
-  est.tenants = cfg_.tenants;
-  double raw_total = 0.0;
-  tenant_srr_.predict_one_into(
-      trow, est.node_w, std::span<double>(est.tenant_w.data(), cfg_.tenants),
-      tenant_scratch_, &raw_total);
-
-  if (cfg_.self_cal.enabled) {
-    if (selfcal_cooldown_ > 0) --selfcal_cooldown_;
-    if (est.measured) {
-      // Buffer the measured tick (ring, oldest overwritten).
-      const auto slot = selfcal_rows_.row(selfcal_head_);
-      std::copy(trow.begin(), trow.end(), slot.begin());
-      selfcal_node_w_[selfcal_head_] = est.node_w;
-      selfcal_head_ = (selfcal_head_ + 1) % selfcal_rows_.rows();
-      selfcal_count_ = std::min(selfcal_count_ + 1, selfcal_rows_.rows());
-      // Drift: the head's clamped pre-projection sum vs the trusted IM
-      // budget. The projection would hide exactly this error, which is why
-      // the signal is taken before it.
-      const double budget = std::max(1.0, est.node_w - cfg_.p_other_w);
-      const double drift_pct = 100.0 * std::abs(raw_total - budget) / budget;
-      drift_ewma_pct_ = drift_seeded_ ? (1.0 - cfg_.self_cal.ewma_alpha) *
-                                                drift_ewma_pct_ +
-                                            cfg_.self_cal.ewma_alpha * drift_pct
-                                      : drift_pct;
-      drift_seeded_ = true;
-      if (drift_ewma_pct_ > cfg_.self_cal.drift_threshold_pct &&
-          selfcal_count_ >= cfg_.self_cal.min_buffered &&
-          selfcal_cooldown_ == 0) {
-        recalibrate_attribution();
-        selfcal_triggers_.add();
-        static obs::Counter& triggers_total =
-            obs::Registry::instance().counter("core.highrpm.selfcal_triggers");
-        triggers_total.add();
-        selfcal_cooldown_ = cfg_.self_cal.cooldown_ticks;
-        // Re-seed the EWMA: the old level measured the pre-fix model.
-        drift_ewma_pct_ = 0.0;
-        drift_seeded_ = false;
-      }
-    }
-  }
-  return est;
-}
-
-void HighRpm::recalibrate_attribution() {
-  const obs::Span span("core.highrpm.selfcal_finetune_ns");
-  const std::size_t n = selfcal_count_;
-  const std::size_t cap = selfcal_rows_.rows();
-  const std::size_t start = (selfcal_head_ + cap - n) % cap;
-  math::Matrix x(n, selfcal_rows_.cols());
-  std::vector<double> p_node(n);
-  math::Matrix targets(n, cfg_.tenants);
-  std::vector<double> split(cfg_.tenants);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = (start + i) % cap;
-    const auto src = selfcal_rows_.row(s);
-    std::copy(src.begin(), src.end(), x.row(i).begin());
-    p_node[i] = selfcal_node_w_[s];
-    // Pseudo-labels: the head's own split rescaled so it sums to the
-    // measured budget — the same consistency calibration active_learning
-    // applies to the component head. The reading is trusted; the ratio is
-    // the model's.
-    tenant_srr_.predict_one_into(src, p_node[i], split, tenant_scratch_);
-    const double budget = std::max(1.0, p_node[i] - cfg_.p_other_w);
-    double total = 0.0;
-    for (const double v : split) total += v;
-    total = std::max(1e-6, total);
-    for (std::size_t k = 0; k < cfg_.tenants; ++k) {
-      targets(i, k) = split[k] * budget / total;
-    }
-  }
-  tenant_srr_.fine_tune_multi(x, p_node, targets, cfg_.self_cal.epochs);
 }
 
 }  // namespace highrpm::core

@@ -185,7 +185,7 @@ void Srr::predict_batch_multi_into(const math::Matrix& pmcs,
     auto dst = scratch.x.row(r);
     if (cfg_.include_pnode) dst[0] = p_node[r];
     const auto src = pmcs.row(r);
-    std::copy(src.begin(), src.end(), dst.begin() + extra);
+    std::copy(src.begin(), src.end(), dst.subspan(extra).begin());
   }
   net_.predict_batch_into(scratch.x, out, scratch.net);
   for (std::size_t r = 0; r < pmcs.rows(); ++r) {

@@ -130,7 +130,7 @@ CollectedRun Collector::collect_tenants(const sim::PlatformConfig& platform,
     for (std::size_t k = 0; k < k_tenants; ++k) {
       const auto& ten = tick.tenants[k];
       std::copy(ten.pmcs.begin(), ten.pmcs.end(),
-                trow.begin() + k * sim::kNumPmcEvents);
+                trow.subspan(k * sim::kNumPmcEvents).begin());
       run.tenant_power(t, k) = ten.p_w;
     }
 

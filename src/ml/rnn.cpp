@@ -456,13 +456,6 @@ void SequenceRegressor::predict_into(const math::Matrix& steps,
   out.assign(row.begin(), row.end());
 }
 
-void SequenceRegressor::predict_batch_into(const math::Matrix& windows,
-                                           std::size_t lanes, math::Matrix& out,
-                                           Workspace& ws) const {
-  project_rows_into(windows, ws);
-  predict_projected_into(ws.zx0, lanes, out, ws);
-}
-
 void SequenceRegressor::project_input_row_into(std::span<const double> row,
                                                std::span<double> zx,
                                                std::span<double> x) const {

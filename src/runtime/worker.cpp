@@ -15,7 +15,7 @@ bool pin_current_thread(unsigned cpu) noexcept {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (cpu >= CPU_SETSIZE) return false;
-  CPU_SET(static_cast<int>(cpu), &set);
+  CPU_SET(cpu, &set);
   return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 #else
   (void)cpu;

@@ -86,7 +86,7 @@ TEST_F(HighRpmTest, StreamingEstimatesAreConsistent) {
     const auto e = h.on_tick(features.row(t), reading);
     EXPECT_EQ(e.measured, run.measured[t]);
     // Components must roughly add up: node ~= cpu + mem + P_other.
-    EXPECT_NEAR(e.cpu_w + e.mem_w + h.config().p_other_w, e.node_w,
+    EXPECT_NEAR(e.cpu_w + e.mem_w + h.srr().config().p_other_w, e.node_w,
                 0.5 * e.node_w);
     truth.push_back(run.truth[t].p_node_w);
     est.push_back(e.node_w);
@@ -194,7 +194,8 @@ TEST_F(HighRpmAttributionTest, TenantEstimatesTrackGroundTruth) {
       total += run.tenant_power(t, k);
     }
     // The projection pulls the K-way split toward the node budget.
-    EXPECT_NEAR(sum, e.node_w - h.config().p_other_w, 0.5 * e.node_w);
+    EXPECT_NEAR(sum, e.node_w - h.attribution_srr().config().p_other_w,
+                0.5 * e.node_w);
   }
   EXPECT_LT(err / total, 0.35);
   // Wrong-size tenant row is rejected.

@@ -407,7 +407,7 @@ TEST_F(FacadeDegradationTest,
   core::FleetStepper fleet(*framework_, 1);
   ASSERT_FALSE(fleet.shared_rnn());  // online fine-tune: per-lane weights
   expect_one_hold_policy(
-      fleet.node_trr(0),
+      fleet.lane(0).trr,
       [&](std::span<const double> row, std::optional<double> reading) {
         math::Matrix pmcs(1, row.size());
         std::copy(row.begin(), row.end(), pmcs.row(0).begin());

@@ -241,71 +241,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CellType::kLstm, CellType::kGru),
                        ::testing::Values(1u, 2u, 4u)));
 
-class RnnBatchIdentity : public ::testing::TestWithParam<CellType> {};
-
-TEST_P(RnnBatchIdentity, PredictBatchMatchesPerWindowBitForBit) {
-  const std::size_t window = 8;
-  const auto samples = make_sequence_problem(40, window, 17);
-  RnnConfig cfg;
-  cfg.cell = GetParam();
-  cfg.units = 3;
-  cfg.layers = 2;
-  cfg.epochs = 15;
-  SequenceRegressor m(cfg);
-  m.fit(samples);
-
-  // Pack 5 windows lane-major into one (lanes*T) x F matrix.
-  const std::size_t lanes = 5;
-  const std::size_t f = samples[0].steps.cols();
-  math::Matrix packed(lanes * window, f);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const auto& steps = samples[i * 3].steps;
-    for (std::size_t t = 0; t < window; ++t) {
-      const auto src = steps.row(t);
-      auto dst = packed.row(i * window + t);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  SequenceRegressor::Workspace ws;
-  math::Matrix out;
-  m.predict_batch_into(packed, lanes, out, ws);
-  ASSERT_EQ(out.rows(), lanes);
-  ASSERT_EQ(out.cols(), window);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const auto serial = m.predict(samples[i * 3].steps);
-    ASSERT_EQ(serial.size(), window);
-    for (std::size_t t = 0; t < window; ++t) {
-      // Exact equality: one lane in the batch must reproduce the
-      // single-window path byte for byte.
-      ASSERT_EQ(out(i, t), serial[t]) << "lane " << i << " step " << t;
-    }
-  }
-}
-
-TEST(SequenceRegressor, PredictBatchRejectsRaggedLanes) {
-  const auto samples = make_sequence_problem(20, 6, 19);
-  SequenceRegressor m;
-  m.fit(samples);
-  SequenceRegressor::Workspace ws;
-  math::Matrix out;
-  const math::Matrix packed(13, samples[0].steps.cols());  // 13 % 4 != 0
-  EXPECT_THROW(m.predict_batch_into(packed, 4, out, ws),
-               std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cells, RnnBatchIdentity,
-                         ::testing::Values(CellType::kLstm, CellType::kGru));
-
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 class RnnProjectionIdentity
     : public ::testing::TestWithParam<std::tuple<CellType, std::size_t>> {};
 
 TEST_P(RnnProjectionIdentity, EveryPredictPathMatchesDirectComputation) {
-  // Every predict entry point — predict_into, predict_batch_into, and
-  // predict_projected_into fed rows projected one at a time (the ring
-  // cache's path) — must equal the direct computation bit for bit, for
-  // every window fill T = 1..10 and every lane count.
+  // Every predict entry point — predict_into and predict_projected_into
+  // fed rows projected one at a time (the ring cache's path) — must equal
+  // the direct computation bit for bit, for every window fill T = 1..10
+  // and every lane count.
   const auto& [cell, layers] = GetParam();
   const auto samples = make_sequence_problem(40, 6, 23);
   RnnConfig cfg;
@@ -338,8 +283,6 @@ TEST_P(RnnProjectionIdentity, EveryPredictPathMatchesDirectComputation) {
       m.predict_projected_into(zx0, lanes, out, batch_ws);
       ASSERT_EQ(out.rows(), lanes);
       ASSERT_EQ(out.cols(), T);
-      math::Matrix batched;
-      m.predict_batch_into(packed, lanes, batched, batch_ws);
       for (std::size_t i = 0; i < lanes; ++i) {
         math::Matrix window(T, f);
         for (std::size_t t = 0; t < T; ++t) {
@@ -352,9 +295,6 @@ TEST_P(RnnProjectionIdentity, EveryPredictPathMatchesDirectComputation) {
         for (std::size_t t = 0; t < T; ++t) {
           ASSERT_EQ(bits(single[t]), bits(direct[t]))
               << "predict_into lanes=" << lanes << " T=" << T << " t=" << t;
-          ASSERT_EQ(bits(batched(i, t)), bits(direct[t]))
-              << "predict_batch_into lanes=" << lanes << " T=" << T
-              << " lane " << i << " t=" << t;
           ASSERT_EQ(bits(out(i, t)), bits(direct[t]))
               << "projected lanes=" << lanes << " T=" << T << " lane " << i
               << " t=" << t;

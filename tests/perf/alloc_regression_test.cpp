@@ -363,6 +363,79 @@ TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
   runtime::set_thread_count(0);
 }
 
+TEST(AllocRegression, SelfCalFleetStepTickIsAllocationFree) {
+  // Self-calibrating lanes predict one at a time into their own scratch and
+  // buffer measured ticks into the ring each lane preallocated; only a
+  // drift TRIGGER (fine-tune) may allocate — pinned out here with an
+  // unreachable threshold.
+  runtime::set_thread_count(1);
+  measure::Collector collector;
+  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
+  std::vector<measure::CollectedRun> training;
+  training.push_back(
+      collector.collect_tenants(sim::PlatformConfig::arm(), mix, 120, 7));
+  HighRpmConfig cfg;
+  cfg.dynamic_trr.rnn.epochs = 4;
+  cfg.dynamic_trr.online_finetune = false;
+  cfg.srr.epochs = 10;
+  cfg.tenants = 2;
+  cfg.tenant_srr.epochs = 10;
+  cfg.self_cal.enabled = true;
+  cfg.self_cal.drift_threshold_pct = 1e9;  // buffer/score, never fine-tune
+  HighRpm golden(cfg);
+  golden.initial_learning(training);
+  golden.fit_attribution(training);
+
+  const std::size_t nodes = 6;
+  FleetConfig fcfg;
+  fcfg.shard_lanes = 4;  // two shards: one full, one ragged
+  FleetStepper fleet(golden, nodes, fcfg);
+  ASSERT_EQ(fleet.tenants(), 2u);
+
+  const auto stream =
+      collector.collect_tenants(sim::PlatformConfig::arm(), mix, 80, 8);
+  const auto& features = stream.dataset.features();
+  const auto& node = stream.dataset.target("P_NODE");
+  math::Matrix pmcs(nodes, features.cols());
+  math::Matrix trows(nodes, stream.tenant_pmcs.cols());
+  std::vector<std::optional<double>> readings(nodes);
+  std::vector<PowerEstimate> out(nodes);
+  const std::size_t warmup = 2 * golden.config().miss_interval + 1;
+  std::size_t measured = 0;
+  const auto play_tick = [&](std::size_t t) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      std::copy(features.row(t).begin(), features.row(t).end(),
+                pmcs.row(i).begin());
+      std::copy(stream.tenant_pmcs.row(t).begin(),
+                stream.tenant_pmcs.row(t).end(), trows.row(i).begin());
+      readings[i] = stream.measured[t] ? std::optional<double>(node[t])
+                                       : std::nullopt;
+    }
+    fleet.step_tick(pmcs, readings, out, {}, &trows);
+    for (std::size_t i = 0; i < nodes; ++i) measured += out[i].measured;
+  };
+  for (std::size_t t = 0; t < warmup; ++t) play_tick(t);
+
+  measured = 0;
+  const auto before = at::count();
+  for (std::size_t t = warmup; t < 80; ++t) {
+    const at::Armed armed;
+    play_tick(t);
+  }
+  ASSERT_GT(measured, 0u) << "no measured tick metered: the self-cal "
+                             "buffering path was never exercised";
+  for (std::size_t i = 0; i < nodes; ++i) {
+    ASSERT_EQ(out[i].tenants, 2u);
+    ASSERT_TRUE(std::isfinite(out[i].tenant_w[0]));
+    ASSERT_TRUE(fleet.lane(i).cal.has_value());
+    EXPECT_EQ(fleet.lane(i).cal->triggers.value(), 0u);
+  }
+  EXPECT_EQ(at::count() - before, 0u)
+      << "self-calibrating FleetStepper::step_tick allocated on a "
+         "steady-state tick";
+  runtime::set_thread_count(0);
+}
+
 TEST(AllocRegression, AdaptiveControllerObserveIsAllocationFree) {
   // The controller's window statistics are fixed-size; the only buffer is
   // the previous-PMC copy, sized on the first observe. Everything after

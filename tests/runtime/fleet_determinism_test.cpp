@@ -302,7 +302,7 @@ TEST_F(FleetBoundaryTest, CohortSplitMatchesStepTick) {
   const auto runs = collect_streams(nodes);
   FleetStepper whole(*golden_, nodes);
   FleetStepper split(*golden_, nodes);
-  FleetStepper::Cohort even_scratch, odd_scratch;
+  Cohort even_scratch, odd_scratch;
   const std::vector<std::size_t> even_ids{0, 2, 4};
   const std::vector<std::size_t> odd_ids{1, 3};
 
@@ -359,7 +359,7 @@ TEST_F(FleetBoundaryTest, CohortSplitMatchesStepTick) {
 
 TEST_F(FleetBoundaryTest, CohortRejectsSizeMismatch) {
   FleetStepper fleet(*golden_, 3);
-  FleetStepper::Cohort scratch;
+  Cohort scratch;
   const std::vector<std::size_t> ids{0, 1};
   math::Matrix rows(1, sim::kNumPmcEvents);  // too few rows for two lanes
   std::vector<std::optional<double>> readings(2);
@@ -385,7 +385,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 constexpr std::size_t kTenants = 2;
 
-HighRpm train_tenant_golden(bool self_cal) {
+HighRpm train_tenant_golden(const SelfCalConfig& self_cal = {}) {
   measure::Collector collector;
   const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
   std::vector<measure::CollectedRun> runs;
@@ -396,7 +396,7 @@ HighRpm train_tenant_golden(bool self_cal) {
   HighRpmConfig cfg = fleet_config(/*online_finetune=*/false);
   cfg.tenants = kTenants;
   cfg.tenant_srr.epochs = 30;
-  cfg.self_cal.enabled = self_cal;
+  cfg.self_cal = self_cal;
   HighRpm golden(cfg);
   golden.initial_learning(runs);
   golden.fit_attribution(runs);
@@ -435,7 +435,7 @@ class FleetAttributionTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
  protected:
   static void SetUpTestSuite() {
-    golden_ = new HighRpm(train_tenant_golden(/*self_cal=*/false));
+    golden_ = new HighRpm(train_tenant_golden());
   }
   static void TearDownTestSuite() {
     delete golden_;
@@ -511,16 +511,141 @@ INSTANTIATE_TEST_SUITE_P(
              "_lanes" + std::to_string(std::get<1>(param_info.param));
     });
 
-TEST(FleetAttribution, RejectsSelfCalibratingGolden) {
-  // The fleet shares ONE const attribution head across lanes; a
-  // self-calibrating head mutates under drift, so the ctor must refuse it
-  // rather than silently dropping per-lane recalibration.
-  const HighRpm golden = train_tenant_golden(/*self_cal=*/true);
-  EXPECT_THROW(FleetStepper(golden, 2), std::invalid_argument);
+// ---------------------------------------------------------------------------
+// Self-calibration lives in each lane: a fleet cloned from a
+// self-calibrating golden recalibrates lane by lane, each lane copying the
+// shared attribution head on its first trigger, and stays byte-identical
+// to serial facade clones — estimates, trigger counts and drift EWMAs.
+
+constexpr std::size_t kDriftTicks = 160;
+
+HighRpm train_self_cal_golden() {
+  SelfCalConfig sc;
+  sc.enabled = true;
+  sc.drift_threshold_pct = 6.0;
+  sc.buffer_ticks = 8;
+  sc.min_buffered = 4;
+  sc.cooldown_ticks = 40;
+  return train_tenant_golden(sc);
 }
 
+/// Even lanes run on a platform whose per-op energy scaled up 1.25x — a
+/// latent change the PMC-only head cannot see, so their drift EWMA
+/// crosses the threshold — odd lanes on the training platform.
+std::vector<measure::CollectedRun> collect_drift_streams(std::size_t nodes) {
+  sim::PlatformConfig hot = sim::PlatformConfig::arm();
+  hot.power.inst_energy_nj *= 1.25;
+  hot.power.mem_energy_nj *= 1.25;
+  hot.power.dyn_scale *= 1.25;
+  measure::Collector collector;
+  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
+  std::vector<measure::CollectedRun> runs;
+  runs.reserve(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    runs.push_back(collector.collect_tenants(
+        i % 2 == 0 ? hot : sim::PlatformConfig::arm(), mix, kDriftTicks,
+        kSeed + 3000 + i));
+  }
+  return runs;
+}
+
+class FleetSelfCalTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+ protected:
+  static void SetUpTestSuite() {
+    golden_ = new HighRpm(train_self_cal_golden());
+  }
+  static void TearDownTestSuite() {
+    delete golden_;
+    golden_ = nullptr;
+  }
+  void TearDown() override { runtime::set_thread_count(0); }
+  static HighRpm* golden_;
+};
+
+HighRpm* FleetSelfCalTest::golden_ = nullptr;
+
+TEST_P(FleetSelfCalTest, PerLaneRecalibrationMatchesSerialBitForBit) {
+  const std::size_t nodes = 5;
+  const auto runs = collect_drift_streams(nodes);
+
+  runtime::set_thread_count(1);
+  std::vector<HighRpm> serial(nodes, *golden_);
+  std::vector<std::vector<PowerEstimate>> reference(nodes);
+  std::vector<std::vector<double>> drift(nodes);
+  std::vector<std::vector<std::size_t>> triggers(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    serial[i].reset_stream();
+    for (std::size_t t = 0; t < kDriftTicks; ++t) {
+      const TickInput in = tick_input(runs[i], i, t);
+      const auto trow = tenant_row_input(runs[i], i, t);
+      reference[i].push_back(serial[i].on_tick(in.pmcs, trow, in.reading));
+      drift[i].push_back(serial[i].self_cal_drift_pct());
+      triggers[i].push_back(serial[i].self_cal_triggers());
+    }
+  }
+  // The stream mix must exercise both head kinds in one cohort: some lanes
+  // recalibrate (and own a head), some never do (and share the golden's).
+  std::size_t triggered = 0;
+  for (const HighRpm& node : serial) triggered += node.self_cal_triggers() > 0;
+  ASSERT_GE(triggered, 1u);
+  ASSERT_LT(triggered, nodes);
+
+  runtime::set_thread_count(std::get<0>(GetParam()));
+  FleetConfig cfg;
+  cfg.shard_lanes = std::get<1>(GetParam());
+  FleetStepper fleet(*golden_, nodes, cfg);
+  ASSERT_EQ(fleet.tenants(), kTenants);
+
+  const std::size_t f = runs[0].dataset.features().cols();
+  math::Matrix pmcs(nodes, f);
+  math::Matrix trows(nodes, kTenants * sim::kNumPmcEvents);
+  std::vector<std::optional<double>> readings(nodes);
+  std::vector<PowerEstimate> out(nodes);
+  for (std::size_t t = 0; t < kDriftTicks; ++t) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const TickInput in = tick_input(runs[i], i, t);
+      std::copy(in.pmcs.begin(), in.pmcs.end(), pmcs.row(i).begin());
+      const auto trow = tenant_row_input(runs[i], i, t);
+      std::copy(trow.begin(), trow.end(), trows.row(i).begin());
+      readings[i] = in.reading;
+    }
+    fleet.step_tick(pmcs, readings, out, {}, &trows);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const PowerEstimate& ref = reference[i][t];
+      ASSERT_EQ(out[i].node_w, ref.node_w) << "node " << i << " tick " << t;
+      ASSERT_EQ(out[i].cpu_w, ref.cpu_w) << "node " << i << " tick " << t;
+      ASSERT_EQ(out[i].mem_w, ref.mem_w) << "node " << i << " tick " << t;
+      ASSERT_EQ(out[i].measured, ref.measured)
+          << "node " << i << " tick " << t;
+      ASSERT_EQ(out[i].tenants, kTenants) << "node " << i << " tick " << t;
+      for (std::size_t k = 0; k < kTenants; ++k) {
+        ASSERT_EQ(out[i].tenant_w[k], ref.tenant_w[k])
+            << "node " << i << " tick " << t << " tenant " << k;
+      }
+      const auto& cal = fleet.lane(i).cal;
+      ASSERT_TRUE(cal.has_value());
+      ASSERT_EQ(cal->drift_ewma_pct, drift[i][t])
+          << "node " << i << " tick " << t;
+      ASSERT_EQ(cal->triggers.value(), triggers[i][t])
+          << "node " << i << " tick " << t;
+      ASSERT_EQ(cal->head.has_value(), triggers[i][t] > 0)
+          << "node " << i << " tick " << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsByShardLanes, FleetSelfCalTest,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 8),
+                       ::testing::Values<std::size_t>(2, 64)),
+    [](const auto& param_info) {
+      return "threads" + std::to_string(std::get<0>(param_info.param)) +
+             "_lanes" + std::to_string(std::get<1>(param_info.param));
+    });
+
 TEST(FleetAttribution, StepTickValidatesTenantMatrixShape) {
-  const HighRpm golden = train_tenant_golden(/*self_cal=*/false);
+  const HighRpm golden = train_tenant_golden();
   FleetStepper fleet(golden, 3);
   math::Matrix pmcs(3, sim::kNumPmcEvents);
   std::vector<std::optional<double>> readings(3);

@@ -114,7 +114,9 @@ std::string run_adaptive_soak(const core::HighRpm& golden,
     const DaemonSnapshot snap = daemon.snapshot();
     check_adaptive_invariants(snap, window_ticks, hold);
     for (const NodeStatus& n : snap.nodes) {
-      if (n.ticks > 0) EXPECT_TRUE(std::isfinite(n.node_w));
+      if (n.ticks > 0) {
+        EXPECT_TRUE(std::isfinite(n.node_w));
+      }
     }
     ++live_queries;
     if (snap.total_offered >= kNodes * ticks_per_node) break;

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -177,7 +179,8 @@ TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
     // the node's dynamic-power ballpark (deciwatt-quantized).
     EXPECT_GT(n.tenant_w[0], 0.0);
     EXPECT_GT(n.tenant_w[1], 0.0);
-    EXPECT_NEAR(sum, n.node_w - golden.config().p_other_w, 0.5 * n.node_w);
+    EXPECT_NEAR(sum, n.node_w - golden.attribution_srr().config().p_other_w,
+                0.5 * n.node_w);
     for (std::size_t k = 2; k < kSnapshotMaxTenants; ++k) {
       EXPECT_EQ(n.tenant_w[k], 0.0);
     }
@@ -186,6 +189,101 @@ TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
   EXPECT_NE(text.find("tenants=2"), std::string::npos) << text;
   EXPECT_NE(text.find("t0_w="), std::string::npos) << text;
   EXPECT_NE(text.find("t1_w="), std::string::npos) << text;
+}
+
+TEST(ServeDaemonAttribution, SelfCalibratingLanesMatchSerialFacade) {
+  // A self-calibrating golden: each daemon lane buffers its measured ticks,
+  // tracks its own drift EWMA and recalibrates its own copy of the
+  // attribution head, exactly as a serial facade clone fed the same stream.
+  measure::Collector collector;
+  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
+  std::vector<measure::CollectedRun> runs;
+  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(), mix,
+                                           160, tu::kSeed + 70));
+  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(), mix,
+                                           160, tu::kSeed + 71));
+  core::HighRpmConfig gcfg;
+  gcfg.dynamic_trr.rnn.epochs = 8;
+  gcfg.dynamic_trr.online_finetune = false;
+  gcfg.srr.epochs = 20;
+  gcfg.tenants = 2;
+  gcfg.tenant_srr.epochs = 30;
+  gcfg.self_cal.enabled = true;
+  gcfg.self_cal.drift_threshold_pct = 6.0;
+  gcfg.self_cal.buffer_ticks = 8;
+  gcfg.self_cal.min_buffered = 4;
+  gcfg.self_cal.cooldown_ticks = 40;
+  core::HighRpm golden(gcfg);
+  golden.initial_learning(runs);
+  golden.fit_attribution(runs);
+
+  // Node 0 runs on a platform whose per-op energy scaled up 1.25x, which
+  // the PMC-only head cannot see; node 1 on the training platform.
+  sim::PlatformConfig hot = sim::PlatformConfig::arm();
+  hot.power.inst_energy_nj *= 1.25;
+  hot.power.mem_energy_nj *= 1.25;
+  hot.power.dyn_scale *= 1.25;
+  const std::size_t nodes = 2;
+  const std::uint64_t ticks = 160;
+  const auto make = [&](std::size_t i) {
+    return measure::NodeTickStream(i == 0 ? hot : sim::PlatformConfig::arm(),
+                                   mix, tu::kSeed + 3000 + i);
+  };
+
+  std::vector<core::PowerEstimate> ref(nodes);
+  std::size_t triggers = 0;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    core::HighRpm node = golden;
+    node.reset_stream();
+    auto stream = make(i);
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      const measure::StreamTick tick = stream.next();
+      const std::optional<double> reading =
+          tick.has_reading ? std::optional<double>(tick.reading_w)
+                           : std::nullopt;
+      ref[i] = node.on_tick(
+          tick.pmcs,
+          std::span<const double>(tick.tenant_pmcs.data(),
+                                  2 * sim::kNumPmcEvents),
+          reading);
+    }
+    triggers += node.self_cal_triggers();
+  }
+  ASSERT_GE(triggers, 1u) << "the drifted node never recalibrated";
+
+  DaemonConfig cfg;
+  cfg.consumers = 2;
+  cfg.ring_capacity = 256;  // roomy: nothing sheds
+  Daemon daemon(golden, nodes, tu::node_suites(nodes), cfg);
+  daemon.start();
+  std::vector<measure::NodeTickStream> streams;
+  for (std::size_t i = 0; i < nodes; ++i) streams.push_back(make(i));
+  for (std::uint64_t t = 0; t < ticks; ++t) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      ASSERT_EQ(daemon.offer(i, streams[i].next()), OfferResult::kAccepted);
+    }
+  }
+  daemon.quiesce();
+  const DaemonSnapshot snap = daemon.snapshot();
+  daemon.stop();
+
+  ASSERT_EQ(snap.nodes.size(), nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const NodeStatus& n = snap.nodes[i];
+    EXPECT_EQ(n.ticks, ticks);
+    // Exact equality on purpose: bit identity with the serial path.
+    EXPECT_EQ(n.node_w, ref[i].node_w) << "node " << i;
+    EXPECT_EQ(n.cpu_w, ref[i].cpu_w) << "node " << i;
+    EXPECT_EQ(n.mem_w, ref[i].mem_w) << "node " << i;
+    EXPECT_EQ(n.measured, ref[i].measured) << "node " << i;
+    ASSERT_EQ(n.tenants, 2u) << "node " << i;
+    // The cell carries the split at deciwatt resolution.
+    const std::uint64_t lo = pack_tenant_word(ref[i].tenant_w.data(), 2, 0);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(n.tenant_w[k], tenant_watts_of(lo, 0, k))
+          << "node " << i << " tenant " << k;
+    }
+  }
 }
 
 TEST(ServeDaemonAttribution, RejectsHeadWiderThanStreamSlots) {

@@ -65,7 +65,9 @@ std::string run_soak(const core::HighRpm& golden, std::size_t consumers,
     const DaemonSnapshot snap = daemon.snapshot();
     for (const NodeStatus& n : snap.nodes) {
       EXPECT_LE(n.accepted + n.shed + n.dropped_readings, n.offered);
-      if (n.ticks > 0) EXPECT_TRUE(std::isfinite(n.node_w));
+      if (n.ticks > 0) {
+        EXPECT_TRUE(std::isfinite(n.node_w));
+      }
     }
     ++live_queries;
     if (snap.total_offered >= kNodes * ticks_per_node) break;

@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <memory>
 
+#include "highrpm/math/float_eq.hpp"
 #include "highrpm/serve/snapshot.hpp"
 #include "highrpm/verify/verify.hpp"
 
 namespace hv = highrpm::verify;
+namespace math = highrpm::math;
 
 namespace {
 
@@ -21,8 +23,8 @@ using Value = ModelCell::Value;
 
 /// Writer publishes generations g = 1..gens where every field is a fixed
 /// function of g; readers check the returned set of fields is coherent
-/// (all from the same generation). Doubles are small integers, so == is
-/// exact.
+/// (all from the same generation). Doubles are small integers, so exact
+/// equality is the right comparison.
 Value gen_value(std::uint64_t g) {
   Value v;
   v.ticks = g;
@@ -38,9 +40,12 @@ Value gen_value(std::uint64_t g) {
 
 void check_coherent(const Value& v) {
   const std::uint64_t g = v.ticks;
-  hv::check(v.node_w == static_cast<double>(2 * g), "torn node_w");
-  hv::check(v.cpu_w == static_cast<double>(3 * g), "torn cpu_w");
-  hv::check(v.mem_w == static_cast<double>(5 * g), "torn mem_w");
+  hv::check(math::exact_eq(v.node_w, static_cast<double>(2 * g)),
+            "torn node_w");
+  hv::check(math::exact_eq(v.cpu_w, static_cast<double>(3 * g)),
+            "torn cpu_w");
+  hv::check(math::exact_eq(v.mem_w, static_cast<double>(5 * g)),
+            "torn mem_w");
   hv::check(v.measured == ((g % 2) == 1), "torn measured");
   hv::check(v.adapt == 7 * g, "torn adapt");
   hv::check(v.tenant_lo == 11 * g, "torn tenant_lo");
