@@ -124,7 +124,10 @@ class Daemon {
   void quiesce() const;
 
   /// One coherent read-out; safe to call at any time from any thread while
-  /// ingestion continues. Totals are sums of the captured per-node rows.
+  /// ingestion continues. Each node's accounting row is exact even then:
+  /// offered == accepted + shed + dropped_readings, where `offered` counts
+  /// the offers that have returned (one still in its reading retry is not
+  /// yet counted). Totals are sums of the captured per-node rows.
   DaemonSnapshot snapshot() const;
 
   bool running() const noexcept {
@@ -139,11 +142,13 @@ class Daemon {
     explicit NodeState(std::size_t ring_capacity) : ring(ring_capacity) {}
     SpscRing<Enqueued> ring;
     NodeStatusCell cell;
-    // Ingestion accounting. Counters are multi-writer-safe; pending_drop
-    // and stepped are plain because each has exactly one writing thread
-    // (the node's producer / the node's owning consumer).
-    obs::Counter offered, accepted, shed, dropped_readings, backpressure,
-        held;
+    // Ingestion accounting. `offers` publishes each completed offer
+    // together with its outcome (exact live rows, see OfferCounts);
+    // backpressure and held sit outside that identity and are plain
+    // counters. pending_drop and stepped are plain because each has exactly
+    // one writing thread (the node's producer / the node's owning consumer).
+    OfferCounts offers;
+    obs::Counter backpressure, held;
     std::uint32_t pending_drop = 0;  // producer-side shed run length
     std::uint64_t stepped = 0;       // consumer-side model ticks (incl. held)
     std::size_t suite_idx = 0;

@@ -8,10 +8,11 @@
 //
 // Coherence contract: a successful NodeStatusCell::read returns one
 // writer-published state in full (all fields from the same publish).
-// DaemonSnapshot totals are computed from the per-node values actually
-// captured in that snapshot, so totals always equal the sum of the rows —
-// no torn aggregate can escape (counter totals never exceed what the rows
-// account for).
+// A successful OfferCounts::read returns one node's ingestion accounting as
+// it stood between two completed offers, so each row balances exactly even
+// while producers run. DaemonSnapshot totals are computed from the per-node
+// values actually captured in that snapshot, so totals always equal the sum
+// of the rows — no torn aggregate can escape.
 #pragma once
 
 #include <array>
@@ -40,7 +41,11 @@ struct NodeStatus {
   /// fleet runs without an attribution head.
   std::uint64_t tenants = 0;
   std::array<double, kSnapshotMaxTenants> tenant_w{};
-  // Ingestion accounting (from the node's counters, read at snapshot time).
+  // Ingestion accounting (the node's OfferCounts row, read at snapshot
+  // time). `offered` counts COMPLETED offers — an offer still in its
+  // reading-retry loop is not yet counted — and every row, live or
+  // quiesced, is exact: offered == accepted + shed + dropped_readings.
+  // backpressure and held are separate counters outside that identity.
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;
   std::uint64_t shed = 0;             // sheddable ticks dropped at a full ring
@@ -240,5 +245,72 @@ class BasicNodeStatusCell {
 
 /// Production instantiation — plain std::atomic, zero template overhead.
 using NodeStatusCell = BasicNodeStatusCell<>;
+
+/// Per-node ingestion accounting: how many offers completed, and how each
+/// one ended. One writer (the node's producer, per the daemon's SPSC offer
+/// contract), any number of readers.
+///
+/// Contract: read() returns the counts as they stood at one instant between
+/// two completed offers, so offered == accepted + shed + dropped_readings in
+/// every row — also while ingestion runs.
+///
+/// Protocol: a completed offer bumps its outcome counter first and `offered`
+/// second, with a release RMW. read() loads `offered` with acquire, which
+/// makes the outcome bumps of every offer it counts visible, so the outcome
+/// sum is never below it; then it loads the three outcome counters and
+/// retries until they sum to `offered`. Every counter only grows, so a sum
+/// equal to `offered` pins each outcome to its value right after that offer
+/// completed: the row is exact, not merely balanced. The common path costs
+/// four loads, as the plain counters did; a retry happens only when a read
+/// straddles an offer's two bumps.
+///
+/// Templated over an atomics backend like BasicNodeStatusCell: the daemon
+/// uses the OfferCounts alias, the model-checker suite instantiates
+/// BasicOfferCounts<verify::ModelBackend>.
+template <typename Backend = verify::StdBackend>
+class BasicOfferCounts {
+ public:
+  struct Value {
+    std::uint64_t offered = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t dropped_readings = 0;
+  };
+
+  /// Writer side: record one completed offer and its outcome.
+  void count_accepted() { complete(accepted_); }
+  void count_shed() { complete(shed_); }
+  void count_dropped_reading() { complete(dropped_readings_); }
+
+  /// Reader side: spins (with a yield, so a preempted writer on the same
+  /// core can finish its offer) until the row balances.
+  Value read() const {
+    Value v;
+    for (;;) {
+      v.offered = offered_.load(std::memory_order_acquire);
+      v.accepted = accepted_.load(std::memory_order_relaxed);  // HIGHRPM_LINT_ALLOW(memory-order-audit): ordered after the acquire of offered_
+      v.shed = shed_.load(std::memory_order_relaxed);  // HIGHRPM_LINT_ALLOW(memory-order-audit): ordered after the acquire of offered_
+      v.dropped_readings = dropped_readings_.load(std::memory_order_relaxed);  // HIGHRPM_LINT_ALLOW(memory-order-audit): ordered after the acquire of offered_
+      if (v.accepted + v.shed + v.dropped_readings == v.offered) return v;
+      Backend::yield();
+    }
+  }
+
+ private:
+  using Atomic = typename Backend::template Atomic<std::uint64_t>;
+
+  void complete(Atomic& outcome) {
+    outcome.fetch_add(1, std::memory_order_relaxed);  // HIGHRPM_LINT_ALLOW(memory-order-audit): published by the release RMW of offered_ below
+    offered_.fetch_add(1, std::memory_order_release);
+  }
+
+  Atomic offered_{0};
+  Atomic accepted_{0};
+  Atomic shed_{0};
+  Atomic dropped_readings_{0};
+};
+
+/// Production instantiation — plain std::atomic, zero template overhead.
+using OfferCounts = BasicOfferCounts<>;
 
 }  // namespace highrpm::serve

@@ -122,19 +122,18 @@ OfferResult Daemon::offer(std::size_t node, const measure::StreamTick& tick) {
   static obs::Counter& backpressure_c =
       obs::Registry::instance().counter("serve.backpressure");
   NodeState& ns = *nodes_.at(node);
-  ns.offered.add();
   offered_c.add();
   const Enqueued e{tick, ns.pending_drop};
   if (ns.ring.try_push(e)) {
     ns.pending_drop = 0;
-    ns.accepted.add();
+    ns.offers.count_accepted();
     accepted_c.add();
     return OfferResult::kAccepted;
   }
   if (!tick.has_reading) {
     // Sheddable: a predict-only tick only buys resolution; fold it into
     // the next accepted tick's gap count and move on.
-    ns.shed.add();
+    ns.offers.count_shed();
     shed_c.add();
     if (ns.pending_drop != UINT32_MAX) ++ns.pending_drop;
     return OfferResult::kShed;
@@ -147,12 +146,12 @@ OfferResult Daemon::offer(std::size_t node, const measure::StreamTick& tick) {
     std::this_thread::yield();
     if (ns.ring.try_push(e)) {
       ns.pending_drop = 0;
-      ns.accepted.add();
+      ns.offers.count_accepted();
       accepted_c.add();
       return OfferResult::kAccepted;
     }
   }
-  ns.dropped_readings.add();
+  ns.offers.count_dropped_reading();
   dropped_r_c.add();
   if (ns.pending_drop != UINT32_MAX) ++ns.pending_drop;
   return OfferResult::kDroppedReading;
@@ -326,16 +325,16 @@ DaemonSnapshot Daemon::snapshot() const {
     for (std::size_t k = 0; k < st.tenants; ++k) {
       st.tenant_w[k] = tenant_watts_of(v.tenant_lo, v.tenant_hi, k);
     }
-    // Outcome counters before offered: offer() bumps offered first and the
-    // outcome second, so reading the outcomes first (and the only-growing
-    // offered last) keeps accepted + shed + dropped_readings <= offered in
-    // every live snapshot.
-    st.accepted = ns->accepted.value();
-    st.shed = ns->shed.value();
-    st.dropped_readings = ns->dropped_readings.value();
+    // offered and its outcomes come from one OfferCounts read, so the row
+    // is exact even mid-ingestion; backpressure and held are outside the
+    // identity and read on their own.
+    const OfferCounts::Value oc = ns->offers.read();
+    st.offered = oc.offered;
+    st.accepted = oc.accepted;
+    st.shed = oc.shed;
+    st.dropped_readings = oc.dropped_readings;
     st.backpressure = ns->backpressure.value();
     st.held = ns->held.value();
-    st.offered = ns->offered.value();
     // Totals from the captured rows, never from a second racy read — the
     // aggregate always equals the sum of what this snapshot reports.
     snap.total_ticks += st.ticks;

@@ -385,9 +385,11 @@ TEST_F(ServeDaemonTest, LiveQueriesWhileIngesting) {
     const DaemonSnapshot snap = daemon.snapshot();
     std::uint64_t offered = 0, accepted = 0, shed = 0, dropped = 0;
     for (const NodeStatus& n : snap.nodes) {
-      // Reads race the producer, but each node's counters are bumped
-      // offered-first, outcome-second, so outcomes never exceed offers.
-      EXPECT_LE(n.accepted + n.shed + n.dropped_readings, n.offered);
+      // Reads race the producer, but each node's row comes from one
+      // instant between two completed offers (outcome bumped first,
+      // offered published second), so the identity is exact mid-flight —
+      // over the accept, shed and dropped-reading paths alike.
+      EXPECT_EQ(n.offered, n.accepted + n.shed + n.dropped_readings);
       if (n.ticks > 0) {
         EXPECT_TRUE(std::isfinite(n.node_w));
         EXPECT_TRUE(std::isfinite(n.cpu_w));

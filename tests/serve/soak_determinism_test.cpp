@@ -64,7 +64,7 @@ std::string run_soak(const core::HighRpm& golden, std::size_t consumers,
   while (live_queries < 64) {
     const DaemonSnapshot snap = daemon.snapshot();
     for (const NodeStatus& n : snap.nodes) {
-      EXPECT_LE(n.accepted + n.shed + n.dropped_readings, n.offered);
+      EXPECT_EQ(n.offered, n.accepted + n.shed + n.dropped_readings);
       if (n.ticks > 0) {
         EXPECT_TRUE(std::isfinite(n.node_w));
       }

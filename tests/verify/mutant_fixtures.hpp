@@ -130,6 +130,65 @@ using CleanSeqlock = MutantSeqlock<true, true>;
 using SeqlockNoFence = MutantSeqlock<false, true>;
 using SeqlockWeakClose = MutantSeqlock<true, false>;
 
+/// OfferCounts mirror (snapshot.hpp BasicOfferCounts). PreFix restores the
+/// historical protocol whose live rows were torn: offered bumped before the
+/// outcome, and one read pass of the outcomes then offered, no retry.
+/// PubOrder weakens the writer's publishing RMW of offered_, ReadOrder the
+/// reader's load of it.
+template <bool PreFix, std::memory_order PubOrder, std::memory_order ReadOrder>
+class MutantOfferCounts {
+ public:
+  struct Value {
+    std::uint64_t offered = 0, accepted = 0, shed = 0;
+  };
+
+  void count_accepted() { complete(accepted_); }
+  void count_shed() { complete(shed_); }
+
+  Value read() const {
+    Value v;
+    if constexpr (PreFix) {
+      v.accepted = accepted_.load(std::memory_order_relaxed);
+      v.shed = shed_.load(std::memory_order_relaxed);
+      v.offered = offered_.load(std::memory_order_relaxed);
+      return v;
+    }
+    for (;;) {
+      v.offered = offered_.load(ReadOrder);
+      v.accepted = accepted_.load(std::memory_order_relaxed);
+      v.shed = shed_.load(std::memory_order_relaxed);
+      if (v.accepted + v.shed == v.offered) return v;
+      hv::ModelBackend::yield();
+    }
+  }
+
+ private:
+  void complete(hv::ModelAtomic<std::uint64_t>& outcome) {
+    if constexpr (PreFix) {
+      offered_.fetch_add(1, std::memory_order_relaxed);
+      outcome.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      outcome.fetch_add(1, std::memory_order_relaxed);
+      offered_.fetch_add(1, PubOrder);
+    }
+  }
+
+  hv::ModelAtomic<std::uint64_t> offered_{0};
+  hv::ModelAtomic<std::uint64_t> accepted_{0};
+  hv::ModelAtomic<std::uint64_t> shed_{0};
+};
+
+using CleanOfferCounts = MutantOfferCounts<false, std::memory_order_release,
+                                           std::memory_order_acquire>;
+using OfferCountsPreFix = MutantOfferCounts<true, std::memory_order_release,
+                                            std::memory_order_acquire>;
+using OfferCountsWeakPublish =
+    MutantOfferCounts<false, std::memory_order_relaxed,
+                      std::memory_order_acquire>;
+using OfferCountsWeakRead =
+    MutantOfferCounts<false, std::memory_order_release,
+                      std::memory_order_relaxed>;
+
 /// Counter mirror with a selectable lost-update bug: Atomic false replaces
 /// the fetch_add with a load+store pair.
 template <bool Atomic>

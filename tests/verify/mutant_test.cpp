@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "mutant_fixtures.hpp"
 
@@ -165,6 +166,68 @@ TEST(MutantSeqlock, RelaxedClosingStoreIsCaught) {
   const auto r = explore_seqlock<hvt::SeqlockWeakClose>(2);
   ASSERT_TRUE(r.failed) << "mutant survived — checker lost its teeth";
   EXPECT_NE(r.reason.find("torn"), std::string::npos) << r.report();
+}
+
+// ---------------------------------------------------------------------
+// OfferCounts: writer records accepted, shed, accepted; the reader's row
+// must balance AND equal the writer's counts after `offered` offers.
+
+template <typename Counts>
+void offer_counts_setup(hv::Env& env) {
+  auto c = std::make_shared<Counts>();
+  env.thread([c] {
+    c->count_accepted();
+    c->count_shed();
+    c->count_accepted();
+  });
+  env.thread([c] {
+    const auto v = c->read();
+    hv::check(v.offered == v.accepted + v.shed,
+              "offer counted without its outcome");
+    // Prefix of accepted, shed, accepted: shed is 1 from the 2nd offer on.
+    hv::check(v.shed == (v.offered >= 2 ? 1u : 0u),
+              "torn offer row: balanced, but not one instant");
+  });
+}
+
+template <typename Counts>
+hv::Result explore_offer_counts() {
+  hv::Options opts;
+  opts.preemption_bound = 2;
+  opts.stale_window = 2;
+  return hv::explore(opts,
+                     [](hv::Env& env) { offer_counts_setup<Counts>(env); });
+}
+
+TEST(MutantOfferCounts, CleanMirrorPassesExhaustively) {
+  const auto r = explore_offer_counts<hvt::CleanOfferCounts>();
+  EXPECT_FALSE(r.failed) << r.report();
+  EXPECT_TRUE(r.complete);
+}
+
+TEST(MutantOfferCounts, PreFixProtocolIsCaught) {
+  // offered bumped before the outcome and read in one pass: a read landing
+  // between the two bumps reports an offer with no outcome — the torn live
+  // row the adaptive soak saw on multi-core hosts.
+  const auto r = explore_offer_counts<hvt::OfferCountsPreFix>();
+  ASSERT_TRUE(r.failed) << "mutant survived — checker lost its teeth";
+  EXPECT_NE(r.reason.find("without its outcome"), std::string::npos)
+      << r.report();
+}
+
+TEST(MutantOfferCounts, RelaxedPublishIsCaught) {
+  // A relaxed RMW of offered no longer carries the outcome bumps with it:
+  // the reader can pair a fresh shed with a stale accepted and still find
+  // the row balanced. Only the one-instant check sees it.
+  const auto r = explore_offer_counts<hvt::OfferCountsWeakPublish>();
+  ASSERT_TRUE(r.failed) << "mutant survived — checker lost its teeth";
+  EXPECT_NE(r.reason.find("torn offer row"), std::string::npos) << r.report();
+}
+
+TEST(MutantOfferCounts, RelaxedReadIsCaught) {
+  const auto r = explore_offer_counts<hvt::OfferCountsWeakRead>();
+  ASSERT_TRUE(r.failed) << "mutant survived — checker lost its teeth";
+  EXPECT_NE(r.reason.find("torn offer row"), std::string::npos) << r.report();
 }
 
 // ---------------------------------------------------------------------
