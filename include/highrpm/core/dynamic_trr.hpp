@@ -255,6 +255,9 @@ class DynamicTrr {
   math::Matrix zx_scratch_;
   math::Matrix preds_scratch_;
   ml::SequenceRegressor::Workspace ws_;
+  /// The online fine-tune's sample (ring window + its labels), repacked in
+  /// place at every accepted reading.
+  data::SequenceSample finetune_window_;
   double prev_estimate_ = 0.0;
   bool have_prev_ = false;
   obs::Counter finetunes_;

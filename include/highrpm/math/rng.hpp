@@ -38,6 +38,9 @@ class Rng {
 
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
+  /// permutation(n) into a caller-owned vector (resized to n, reusing its
+  /// allocation): the same draws, so the same order.
+  void permutation_into(std::vector<std::size_t>& idx, std::size_t n);
   /// k indices sampled without replacement from [0, n).
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);

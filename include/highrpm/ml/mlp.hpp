@@ -14,6 +14,7 @@
 #include "highrpm/math/matrix.hpp"
 #include "highrpm/math/rng.hpp"
 #include "highrpm/ml/regressor.hpp"
+#include "highrpm/ml/train_workspace.hpp"
 
 namespace highrpm::ml {
 
@@ -92,10 +93,25 @@ class Mlp {
     std::vector<double> mb, vb;
   };
 
+  /// Everything a fit() needs besides the model itself, kept in train_:
+  /// sized on first use and reused by later fits, so a warm fit on data of
+  /// an already-seen shape performs no heap allocation. Only fit() writes
+  /// it, and it reads each buffer only after writing it.
+  struct TrainWorkspace {
+    math::Matrix xs, ys;  // standardized inputs and targets
+    // One sample's activations: pre[l] is layer l's pre-activation (hidden
+    // layers only), post[l] its output (the network output for the last).
+    std::vector<std::vector<double>> pre, post;
+    std::vector<double> delta, prev;  // backprop deltas, ping-ponged
+    std::vector<math::Matrix> gw;     // gradient accumulators, zeroed at
+    std::vector<std::vector<double>> gb;  // every batch start
+    std::vector<std::size_t> order;   // the epoch's sample permutation
+  };
+
   void initialize(std::size_t in_dim, std::size_t out_dim, math::Rng& rng);
-  /// Forward pass saving activations; returns output layer activations.
-  std::vector<double> forward(std::span<const double> x,
-                              std::vector<std::vector<double>>* acts) const;
+  /// Forward pass over one standardized row, saving every layer's
+  /// activations in ws.pre/ws.post (the output is ws.post.back()).
+  void forward(std::span<const double> x, TrainWorkspace& ws) const;
   double activate(double v) const;
   double activate_grad(double pre, double post) const;
 
@@ -107,6 +123,7 @@ class Mlp {
   std::vector<data::TargetScaler> y_scalers_;
   std::uint64_t adam_t_ = 0;
   bool fitted_ = false;
+  TrainWorkspaceSlot<TrainWorkspace> train_;
 };
 
 /// Single-output Regressor adapter around Mlp — the Table-4 "NN" baseline.

@@ -16,6 +16,7 @@
 #include "highrpm/data/window.hpp"
 #include "highrpm/math/matrix.hpp"
 #include "highrpm/math/rng.hpp"
+#include "highrpm/ml/train_workspace.hpp"
 
 namespace highrpm::ml {
 
@@ -39,6 +40,9 @@ class SequenceRegressor {
   explicit SequenceRegressor(RnnConfig cfg = {});
 
   /// Train (reset=true) or fine-tune (reset=false, keeping scalers/weights).
+  /// Every buffer comes from the model's training workspace, so once a fit
+  /// has seen windows of a given length, a fine-tune on such windows makes
+  /// no heap allocation.
   void fit(std::span<const data::SequenceSample> samples, bool reset = true,
            std::size_t epochs_override = 0);
 
@@ -131,14 +135,38 @@ class SequenceRegressor {
     std::vector<double> mw, vw;
     double mb = 0.0, vb = 0.0, mbb = 0.0;
   };
-  /// Per-step per-layer cache for backprop.
-  struct StepCache {
-    std::vector<double> x;      // layer input
-    std::vector<double> h_prev;
-    std::vector<double> c_prev;  // LSTM only
-    std::vector<double> gates;   // post-activation gate values
-    std::vector<double> c;       // LSTM cell state
-    std::vector<double> h;
+  /// Gradient accumulators for one cell, shaped like its parameters.
+  struct CellGrads {
+    math::Matrix w, u;
+    std::vector<double> b;
+  };
+  /// Everything a fit() needs besides the model itself, kept in train_:
+  /// sized on first use and reused by later fits, so a warm fit on windows
+  /// of an already-seen length performs no heap allocation. Only fit()
+  /// writes it, and it reads each buffer only after writing it.
+  struct TrainWorkspace {
+    /// Row of h/c holding layer l's state after step t of a T-step window;
+    /// the row before it holds the state before step t (row l*(T+1) is the
+    /// zero initial state).
+    static std::size_t state_row(std::size_t l, std::size_t t,
+                                 std::size_t T) noexcept {
+      return l * (T + 1) + t + 1;
+    }
+
+    math::Matrix xs;  // T x F scaled window (layer 0's input)
+    // Forward caches for BPTT: h, c are layers*(T+1) x units (state_row),
+    // gates is layers*T x gates (row l*T + t). Layer l >= 1's input at step
+    // t is layer l-1's h at step t, so inputs are not cached separately.
+    math::Matrix h, c, gates;
+    std::vector<double> pred;  // T head outputs, scaled space
+    Workspace::StepScratch scratch;
+    // BPTT deltas: dh/dx/dh_prev/drh are units wide, dz gates wide, dy T.
+    std::vector<double> dy, dh, dx, dh_prev, dz, drh;
+    math::Matrix dh_time, dc_time;  // layers x units, flowing to step t-1
+    std::vector<CellGrads> grads;   // zeroed at every batch start
+    std::vector<double> head_gw;
+    double head_gb = 0.0;
+    std::vector<std::size_t> order;  // the epoch's sample permutation
   };
 
   void initialize(std::size_t in_dim, math::Rng& rng);
@@ -165,20 +193,18 @@ class SequenceRegressor {
                               Workspace::StepScratch& scratch) const;
   /// Project every row of `rows` into ws.zx0.
   void project_rows_into(const math::Matrix& rows, Workspace& ws) const;
-  /// Forward a whole window, returning per-step head outputs (scaled space);
-  /// caches are per layer per step when requested (training path).
-  std::vector<double> forward(const math::Matrix& steps_scaled,
-                              std::vector<std::vector<StepCache>>* caches) const;
+  /// Forward a whole scaled window (time-outer, one cell_step_into per
+  /// layer per step) into tw: per-step head outputs (scaled space) in
+  /// tw.pred, the per-layer per-step states and gates BPTT reads in
+  /// tw.h/tw.c/tw.gates. `xs` may be tw.xs.
+  void forward(const math::Matrix& xs, TrainWorkspace& tw) const;
   void adam_step(double lr);
 
   RnnConfig cfg_;
   std::size_t in_dim_ = 0;
   std::vector<CellParams> cells_;
   Head head_;
-  // Gradient accumulators (allocated lazily in fit).
-  std::vector<CellParams> grads_;
-  std::vector<double> head_gw_;
-  double head_gb_ = 0.0;
+  TrainWorkspaceSlot<TrainWorkspace> train_;
   data::StandardScaler x_scaler_;
   data::TargetScaler y_scaler_;
   std::uint64_t adam_t_ = 0;

@@ -26,10 +26,11 @@
 #   soak      HIGHRPM_SOAK=1 ctest -L soak in the werror build: long-run
 #             daemon determinism (byte-identical final snapshots across
 #             consumer thread counts under real producer threads); then the
-#             serve and soak labels under both scheduling regimes: ten
-#             until-fail repeats at -j$(nproc) (true concurrency) and one
-#             run pinned to one core with taskset -c 0 (preemption-only
-#             interleavings) [pinned run skipped if taskset is missing]
+#             stress tier, the serve, soak, runtime, obs and faults labels
+#             under both scheduling regimes: ten until-fail repeats at
+#             -j$(nproc) (true concurrency) and one run pinned to one core
+#             with taskset -c 0 (preemption-only interleavings) [pinned run
+#             skipped if taskset is missing]
 #   tidy      clang-tidy over the compile database   [skipped if not installed]
 #   asan      full ctest under -fsanitize=address
 #   ubsan     full ctest under -fsanitize=undefined (no-recover: UB = failure)
@@ -141,13 +142,14 @@ step_soak() {
   ensure_werror_build
   HIGHRPM_SOAK=1 ctest --test-dir build-werror --output-on-failure \
     -j "$JOBS" -L soak
-  note "soak: serve + soak labels, 10 until-fail repeats at -j$JOBS"
+  local stress='serve|soak|runtime|obs|faults'
+  note "soak: $stress labels, 10 until-fail repeats at -j$JOBS"
   ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-    -L 'serve|soak' --repeat until-fail:10
-  note "soak: serve + soak labels pinned to one core (taskset -c 0)"
+    -L "$stress" --repeat until-fail:10
+  note "soak: $stress labels pinned to one core (taskset -c 0)"
   if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 ctest --test-dir build-werror --output-on-failure \
-      -L 'serve|soak'
+      -L "$stress"
   else
     skip "taskset not installed"
   fi

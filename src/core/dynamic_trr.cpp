@@ -355,19 +355,17 @@ DynamicTrr::Commit DynamicTrr::step_commit(const StepPrep& prep,
         win_count_ == cfg_.miss_interval &&
         std::all_of(win_clean_.begin(), win_clean_.end(),
                     [](unsigned char c) { return c != 0; })) {
-      data::SequenceSample s;
-      s.steps.resize(cfg_.miss_interval, win_rows_.cols());
+      data::SequenceSample& s = finetune_window_;
+      s.steps.resize(win_count_, win_rows_.cols());
       pack_window_into(s.steps, 0);
-      s.labels.reserve(cfg_.miss_interval);
+      s.labels.resize(win_count_);
       for (std::size_t r = 0; r + 1 < win_count_; ++r) {
-        s.labels.push_back(win_est_[ring_index(r)]);
+        s.labels[r] = win_est_[ring_index(r)];
       }
-      s.labels.push_back(estimate);
-      if (s.labels.size() == cfg_.miss_interval) {
-        model_.fit(std::span<const data::SequenceSample>(&s, 1),
-                   /*reset=*/false, cfg_.finetune_epochs);
-        finetunes_.add();
-      }
+      s.labels.back() = estimate;
+      model_.fit(std::span<const data::SequenceSample>(&s, 1),
+                 /*reset=*/false, cfg_.finetune_epochs);
+      finetunes_.add();
     }
   }
 

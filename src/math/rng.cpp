@@ -109,13 +109,18 @@ double Rng::exponential(double rate) {
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> idx(n);
+  std::vector<std::size_t> idx;
+  permutation_into(idx, n);
+  return idx;
+}
+
+void Rng::permutation_into(std::vector<std::size_t>& idx, std::size_t n) {
+  idx.resize(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
   for (std::size_t i = n; i-- > 1;) {
     const std::size_t j = uniform_index(i + 1);
     std::swap(idx[i], idx[j]);
   }
-  return idx;
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -1,7 +1,9 @@
 #include "highrpm/ml/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace highrpm::ml {
 
@@ -63,25 +65,22 @@ double Mlp::activate_grad(double pre, double post) const {
   return 1.0;
 }
 
-std::vector<double> Mlp::forward(
-    std::span<const double> x, std::vector<std::vector<double>>* acts) const {
-  std::vector<double> cur(x.begin(), x.end());
-  if (acts) acts->push_back(cur);
+void Mlp::forward(std::span<const double> x, TrainWorkspace& ws) const {
+  std::span<const double> cur = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    std::vector<double> next(layer.b);
+    std::vector<double>& next = ws.post[l];
+    next.resize(layer.w.rows());
     for (std::size_t o = 0; o < layer.w.rows(); ++o) {
-      next[o] += math::dot(layer.w.row(o), cur);
+      next[o] = layer.b[o] + math::dot(layer.w.row(o), cur);
     }
     const bool is_output = l + 1 == layers_.size();
     if (!is_output) {
-      if (acts) acts->push_back(next);  // pre-activations
+      ws.pre[l].assign(next.begin(), next.end());
       for (double& v : next) v = activate(v);
     }
-    if (acts) acts->push_back(next);
-    cur = std::move(next);
+    cur = next;
   }
-  return cur;
 }
 
 void Mlp::fit(const math::Matrix& x, const math::Matrix& y, bool reset,
@@ -101,51 +100,62 @@ void Mlp::fit(const math::Matrix& x, const math::Matrix& y, bool reset,
       throw std::invalid_argument("Mlp::fit(fine-tune): dimension mismatch");
     }
   }
-  const math::Matrix xs = x_scaler_.transform(x);
-  math::Matrix ys(y.rows(), y.cols());
-  for (std::size_t c = 0; c < y.cols(); ++c) {
-    const auto col = y.col(c);
-    for (std::size_t r = 0; r < y.rows(); ++r) {
-      ys(r, c) = y_scalers_[c].transform_one(col[r]);
+  TrainWorkspace& ws = train_.get();
+  ws.xs.resize(x.rows(), x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    x_scaler_.transform_row_into(x.row(r), ws.xs.row(r));
+  }
+  ws.ys.resize(y.rows(), y.cols());
+  for (std::size_t r = 0; r < y.rows(); ++r) {
+    for (std::size_t c = 0; c < y.cols(); ++c) {
+      ws.ys(r, c) = y_scalers_[c].transform_one(y(r, c));
     }
   }
+  const math::Matrix& xs = ws.xs;
+  const math::Matrix& ys = ws.ys;
 
   const std::size_t n = xs.rows();
   const std::size_t epochs = epochs_override > 0 ? epochs_override : cfg_.epochs;
   const std::size_t batch = std::max<std::size_t>(1, cfg_.batch_size);
 
-  // Gradient accumulators mirroring layer shapes.
-  std::vector<math::Matrix> gw(layers_.size());
-  std::vector<std::vector<double>> gb(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    gw[l] = math::Matrix(layers_[l].w.rows(), layers_[l].w.cols());
-    gb[l].assign(layers_[l].b.size(), 0.0);
+  // Activation buffers and gradient accumulators mirroring layer shapes.
+  const std::size_t L = layers_.size();
+  ws.pre.resize(L);
+  ws.post.resize(L);
+  ws.gw.resize(L);
+  ws.gb.resize(L);
+  for (std::size_t l = 0; l < L; ++l) {
+    ws.gw[l].resize(layers_[l].w.rows(), layers_[l].w.cols());
+    ws.gb[l].resize(layers_[l].b.size());
   }
+  auto& gw = ws.gw;
+  auto& gb = ws.gb;
+  auto& delta = ws.delta;
+  auto& prev = ws.prev;
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    const auto order = rng.permutation(n);
+    rng.permutation_into(ws.order, n);
     for (std::size_t start = 0; start < n; start += batch) {
       const std::size_t end = std::min(start + batch, n);
       const double inv = 1.0 / static_cast<double>(end - start);
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
+      for (std::size_t l = 0; l < L; ++l) {
         for (double& v : gw[l].flat()) v = 0.0;
         for (double& v : gb[l]) v = 0.0;
       }
       for (std::size_t bi = start; bi < end; ++bi) {
-        const std::size_t i = order[bi];
-        // acts layout: [input, pre1, post1, pre2, post2, ..., output]
-        std::vector<std::vector<double>> acts;
-        const auto out = forward(xs.row(i), &acts);
+        const std::size_t i = ws.order[bi];
+        forward(xs.row(i), ws);
+        const std::vector<double>& out = ws.post.back();
         // Output delta: dL/d(out) for 0.5*MSE = (pred - target).
-        std::vector<double> delta(out_dim_);
+        delta.resize(out_dim_);
         for (std::size_t o = 0; o < out_dim_; ++o) {
           delta[o] = out[o] - ys(i, o);
         }
-        // Walk layers backwards. post-activation of layer l-1 is the input
-        // to layer l; index arithmetic per the layout above.
-        for (std::size_t li = layers_.size(); li-- > 0;) {
-          const std::vector<double>& input =
-              li == 0 ? acts[0] : acts[2 * li];
+        // Walk layers backwards: layer li's input is the sample row for
+        // li == 0, else layer li-1's post-activation.
+        for (std::size_t li = L; li-- > 0;) {
+          const std::span<const double> input =
+              li == 0 ? xs.row(i) : std::span<const double>(ws.post[li - 1]);
           for (std::size_t o = 0; o < layers_[li].w.rows(); ++o) {
             gb[li][o] += delta[o];
             auto grow = gw[li].row(o);
@@ -155,19 +165,19 @@ void Mlp::fit(const math::Matrix& x, const math::Matrix& y, bool reset,
           }
           if (li == 0) break;
           // Propagate delta to the previous layer through w and activation.
-          std::vector<double> prev(layers_[li].w.cols(), 0.0);
+          prev.assign(layers_[li].w.cols(), 0.0);
           for (std::size_t o = 0; o < layers_[li].w.rows(); ++o) {
             const auto wrow = layers_[li].w.row(o);
             for (std::size_t j = 0; j < prev.size(); ++j) {
               prev[j] += delta[o] * wrow[j];
             }
           }
-          const std::vector<double>& pre = acts[2 * li - 1];
-          const std::vector<double>& post = acts[2 * li];
+          const std::vector<double>& pre = ws.pre[li - 1];
+          const std::vector<double>& post = ws.post[li - 1];
           for (std::size_t j = 0; j < prev.size(); ++j) {
             prev[j] *= activate_grad(pre[j], post[j]);
           }
-          delta = std::move(prev);
+          std::swap(delta, prev);
         }
       }
       // Adam update.

@@ -154,49 +154,39 @@ void SequenceRegressor::cell_step_preproj_into(
   }
 }
 
-std::vector<double> SequenceRegressor::forward(
-    const math::Matrix& steps_scaled,
-    std::vector<std::vector<StepCache>>* caches) const {
-  const std::size_t T = steps_scaled.rows();
+void SequenceRegressor::forward(const math::Matrix& xs,
+                                TrainWorkspace& tw) const {
+  const std::size_t T = xs.rows();
   const std::size_t H = cfg_.units;
-  Workspace::StepScratch scratch;
-  scratch.z.resize(gate_count());
-  scratch.gates.resize(gate_count());
-  scratch.rh.resize(H);
-  math::Matrix hs(cfg_.layers, H);
-  math::Matrix cs(cfg_.layers, H);
-  std::vector<double> xt;
-  if (caches) {
-    caches->assign(cfg_.layers, std::vector<StepCache>(T));
+  const std::size_t L = cfg_.layers;
+  const std::size_t g = gate_count();
+  tw.scratch.z.resize(g);
+  tw.scratch.gates.resize(g);
+  tw.scratch.rh.resize(H);
+  tw.h.resize(L * (T + 1), H);
+  tw.c.resize(L * (T + 1), H);
+  tw.gates.resize(L * T, g);
+  tw.pred.resize(T);
+  for (std::size_t l = 0; l < L; ++l) {
+    std::ranges::fill(tw.h.row(l * (T + 1)), 0.0);
+    std::ranges::fill(tw.c.row(l * (T + 1)), 0.0);
   }
-  std::vector<double> out(T);
-  const bool lstm = cfg_.cell == CellType::kLstm;
   for (std::size_t t = 0; t < T; ++t) {
-    xt.assign(steps_scaled.row(t).begin(), steps_scaled.row(t).end());
-    std::span<const double> x = xt;
-    for (std::size_t l = 0; l < cfg_.layers; ++l) {
-      const auto h = hs.row(l);
-      const auto c = cs.row(l);
-      if (caches) {
-        // Capture the step inputs before the in-place update overwrites
-        // h/c; outputs are copied out after.
-        StepCache& cache = (*caches)[l][t];
-        cache.x.assign(x.begin(), x.end());
-        cache.h_prev.assign(h.begin(), h.end());
-        if (lstm) cache.c_prev.assign(c.begin(), c.end());
-      }
-      cell_step_into(cells_[l], x, h, c, scratch);
-      if (caches) {
-        StepCache& cache = (*caches)[l][t];
-        cache.gates = scratch.gates;
-        if (lstm) cache.c.assign(c.begin(), c.end());
-        cache.h.assign(h.begin(), h.end());
-      }
+    std::span<const double> x = xs.row(t);
+    for (std::size_t l = 0; l < L; ++l) {
+      // Step in place on this step's cache rows, seeded with the state
+      // before it.
+      const std::size_t r = TrainWorkspace::state_row(l, t, T);
+      const auto h = tw.h.row(r);
+      const auto c = tw.c.row(r);
+      std::ranges::copy(tw.h.row(r - 1), h.begin());
+      std::ranges::copy(tw.c.row(r - 1), c.begin());
+      cell_step_into(cells_[l], x, h, c, tw.scratch);
+      std::ranges::copy(tw.scratch.gates, tw.gates.row(l * T + t).begin());
       x = h;
     }
-    out[t] = head_.b + math::dot(head_.w, hs.row(cfg_.layers - 1));
+    tw.pred[t] = head_.b + math::dot(head_.w, x);
   }
-  return out;
 }
 
 void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
@@ -204,10 +194,17 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
   if (samples.empty()) {
     throw std::invalid_argument("SequenceRegressor::fit: no samples");
   }
+  // Check every sample before training on any, so a bad one neither reads
+  // past its labels nor leaves the model tuned on the batches before it.
+  const std::size_t F = samples[0].steps.cols();
+  for (const auto& s : samples) {
+    if (s.steps.cols() != F || s.labels.size() != s.steps.rows()) {
+      throw std::invalid_argument("SequenceRegressor::fit: ragged samples");
+    }
+  }
   // Every fit may move the weights or the input scaler: cached input
   // projections stamped with an older generation are stale from here on.
   ++generation_;
-  const std::size_t F = samples[0].steps.cols();
   math::Rng rng(cfg_.seed + (reset ? 0 : 1 + adam_t_));
   if (reset || !fitted_) {
     // Fit scalers over all rows / labels of the training windows.
@@ -217,9 +214,6 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
     std::vector<double> all_labels;
     std::size_t w = 0;
     for (const auto& s : samples) {
-      if (s.steps.cols() != F || s.labels.size() != s.steps.rows()) {
-        throw std::invalid_argument("SequenceRegressor::fit: ragged samples");
-      }
       for (std::size_t r = 0; r < s.steps.rows(); ++r) {
         std::copy(s.steps.row(r).begin(), s.steps.row(r).end(),
                   all.row(w++).begin());
@@ -234,177 +228,182 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
     throw std::invalid_argument("SequenceRegressor::fit: width mismatch");
   }
 
-  // Allocate gradient accumulators mirroring parameters.
+  // Size the workspace's gradient accumulators and deltas (no-ops once
+  // warm); every batch zeroes the accumulators before using them.
+  TrainWorkspace& tw = train_.get();
   const std::size_t g = gate_count();
-  grads_.clear();
-  for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    CellParams gp;
-    gp.w = math::Matrix(g, cells_[l].w.cols());
-    gp.u = math::Matrix(g, cfg_.units);
-    gp.b.assign(g, 0.0);
-    grads_.push_back(std::move(gp));
+  const std::size_t H = cfg_.units;
+  const std::size_t L = cfg_.layers;
+  tw.grads.resize(L);
+  for (std::size_t l = 0; l < L; ++l) {
+    tw.grads[l].w.resize(g, cells_[l].w.cols());
+    tw.grads[l].u.resize(g, H);
+    tw.grads[l].b.resize(g);
   }
-  head_gw_.assign(cfg_.units, 0.0);
-  head_gb_ = 0.0;
+  tw.head_gw.resize(H);
+  tw.dh.resize(H);
+  tw.dx.resize(H);
+  tw.dh_prev.resize(H);
+  tw.dz.resize(g);
+  tw.drh.resize(H);
+  tw.dh_time.resize(L, H);
+  tw.dc_time.resize(L, H);
 
   const std::size_t n = samples.size();
   const std::size_t epochs = epochs_override > 0 ? epochs_override : cfg_.epochs;
   const std::size_t batch = std::max<std::size_t>(1, cfg_.batch_size);
-  const std::size_t H = cfg_.units;
+  const bool lstm = cfg_.cell == CellType::kLstm;
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    const auto order = rng.permutation(n);
+    rng.permutation_into(tw.order, n);
     for (std::size_t start = 0; start < n; start += batch) {
       const std::size_t end = std::min(start + batch, n);
-      for (auto& gp : grads_) {
+      for (auto& gp : tw.grads) {
         for (double& v : gp.w.flat()) v = 0.0;
         for (double& v : gp.u.flat()) v = 0.0;
         for (double& v : gp.b) v = 0.0;
       }
-      std::fill(head_gw_.begin(), head_gw_.end(), 0.0);
-      head_gb_ = 0.0;
+      std::fill(tw.head_gw.begin(), tw.head_gw.end(), 0.0);
+      tw.head_gb = 0.0;
       double denom = 0.0;
       for (std::size_t bi = start; bi < end; ++bi) {
-        const auto& s = samples[order[bi]];
+        const auto& s = samples[tw.order[bi]];
         const std::size_t T = s.steps.rows();
         denom += static_cast<double>(T);
-        // Scale the window.
-        math::Matrix xs(T, F);
+        tw.xs.resize(T, F);
         for (std::size_t t = 0; t < T; ++t) {
-          const auto sr = x_scaler_.transform_row(s.steps.row(t));
-          std::copy(sr.begin(), sr.end(), xs.row(t).begin());
+          x_scaler_.transform_row_into(s.steps.row(t), tw.xs.row(t));
         }
-        std::vector<std::vector<StepCache>> caches;
-        const auto pred = forward(xs, &caches);
+        forward(tw.xs, tw);
         // Output-space deltas.
-        std::vector<double> dy(T);
+        tw.dy.resize(T);
         for (std::size_t t = 0; t < T; ++t) {
-          dy[t] = pred[t] - y_scaler_.transform_one(s.labels[t]);
+          tw.dy[t] = tw.pred[t] - y_scaler_.transform_one(s.labels[t]);
         }
         // BPTT: per-layer gradients flowing backward in time.
-        std::vector<std::vector<double>> dh_time(cfg_.layers,
-                                                 std::vector<double>(H, 0.0));
-        std::vector<std::vector<double>> dc_time(cfg_.layers,
-                                                 std::vector<double>(H, 0.0));
+        std::ranges::fill(tw.dh_time.flat(), 0.0);
+        std::ranges::fill(tw.dc_time.flat(), 0.0);
+        auto& dh = tw.dh;
+        auto& dx = tw.dx;
+        auto& dh_prev = tw.dh_prev;
+        auto& dz = tw.dz;
         for (std::size_t t = T; t-- > 0;) {
           // Head gradient feeds the top layer's h at step t.
-          std::vector<double> dh(H, 0.0);
-          const auto& top = caches[cfg_.layers - 1][t];
+          const auto top_h = tw.h.row(TrainWorkspace::state_row(L - 1, t, T));
+          const auto top_dh_time = tw.dh_time.row(L - 1);
+          const double dyt = tw.dy[t];
           for (std::size_t j = 0; j < H; ++j) {
-            head_gw_[j] += dy[t] * top.h[j];
-            dh[j] = dy[t] * head_.w[j] + dh_time[cfg_.layers - 1][j];
+            tw.head_gw[j] += dyt * top_h[j];
+            dh[j] = dyt * head_.w[j] + top_dh_time[j];
           }
-          head_gb_ += dy[t];
-          for (std::size_t l = cfg_.layers; l-- > 0;) {
-            const auto& cache = caches[l][t];
+          tw.head_gb += dyt;
+          for (std::size_t l = L; l-- > 0;) {
+            const std::size_t r = TrainWorkspace::state_row(l, t, T);
+            const std::span<const double> x =
+                l == 0 ? tw.xs.row(t)
+                       : tw.h.row(TrainWorkspace::state_row(l - 1, t, T));
+            const std::span<const double> h_prev = tw.h.row(r - 1);
+            const std::span<const double> gates = tw.gates.row(l * T + t);
+            const auto dc_time = tw.dc_time.row(l);
             const CellParams& p = cells_[l];
-            CellParams& gp = grads_[l];
-            std::vector<double> dx(cache.x.size(), 0.0);
-            std::vector<double> dh_prev(H, 0.0);
-            if (cfg_.cell == CellType::kLstm) {
-              std::vector<double> dz(g, 0.0);
+            CellGrads& gp = tw.grads[l];
+            // Only a layer above 0 passes dx on (to the layer below's h).
+            const bool want_dx = l > 0;
+            std::ranges::fill(dx, 0.0);
+            std::ranges::fill(dh_prev, 0.0);
+            std::ranges::fill(dz, 0.0);
+            // Gate j's pre-activation `b + w·x + u·hh` has gradient dz[j].
+            const auto accumulate = [&](std::size_t j,
+                                        std::span<const double> hh,
+                                        std::span<double> dhh) {
+              const double d = dz[j];
+              if (math::is_zero(d)) return;
+              gp.b[j] += d;
+              auto gw = gp.w.row(j);
+              for (std::size_t k = 0; k < x.size(); ++k) gw[k] += d * x[k];
+              if (want_dx) {
+                const auto wj = p.w.row(j);
+                for (std::size_t k = 0; k < x.size(); ++k) dx[k] += d * wj[k];
+              }
+              auto gu = gp.u.row(j);
+              const auto uj = p.u.row(j);
+              for (std::size_t k = 0; k < H; ++k) {
+                gu[k] += d * hh[k];
+                dhh[k] += d * uj[k];
+              }
+            };
+            if (lstm) {
+              const std::span<const double> c_prev = tw.c.row(r - 1);
+              const std::span<const double> c = tw.c.row(r);
               for (std::size_t j = 0; j < H; ++j) {
-                const double i_g = cache.gates[j];
-                const double f_g = cache.gates[H + j];
-                const double g_g = cache.gates[2 * H + j];
-                const double o_g = cache.gates[3 * H + j];
-                const double tc = std::tanh(cache.c[j]);
+                const double i_g = gates[j];
+                const double f_g = gates[H + j];
+                const double g_g = gates[2 * H + j];
+                const double o_g = gates[3 * H + j];
+                const double tc = std::tanh(c[j]);
                 const double dho = dh[j];
-                double dc = dc_time[l][j] + dho * o_g * (1.0 - tc * tc);
+                double dc = dc_time[j] + dho * o_g * (1.0 - tc * tc);
                 const double do_ = dho * tc;
                 const double di = dc * g_g;
                 const double dg = dc * i_g;
-                const double df = dc * cache.c_prev[j];
-                dc_time[l][j] = dc * f_g;  // flows to step t-1
+                const double df = dc * c_prev[j];
+                dc_time[j] = dc * f_g;  // flows to step t-1
                 dz[j] = di * i_g * (1.0 - i_g);
                 dz[H + j] = df * f_g * (1.0 - f_g);
                 dz[2 * H + j] = dg * (1.0 - g_g * g_g);
                 dz[3 * H + j] = do_ * o_g * (1.0 - o_g);
               }
               for (std::size_t j = 0; j < g; ++j) {
-                const double d = dz[j];
-                if (math::is_zero(d)) continue;
-                gp.b[j] += d;
-                auto gw = gp.w.row(j);
-                for (std::size_t k = 0; k < dx.size(); ++k) {
-                  gw[k] += d * cache.x[k];
-                  dx[k] += d * p.w(j, k);
-                }
-                auto gu = gp.u.row(j);
-                for (std::size_t k = 0; k < H; ++k) {
-                  gu[k] += d * cache.h_prev[k];
-                  dh_prev[k] += d * p.u(j, k);
-                }
+                accumulate(j, h_prev, dh_prev);
               }
             } else {
               // GRU backward.
-              std::vector<double> dz(g, 0.0);
-              std::vector<double> drh(H, 0.0);
+              auto& drh = tw.drh;
+              std::ranges::fill(drh, 0.0);
               for (std::size_t j = 0; j < H; ++j) {
-                const double z_g = cache.gates[j];
-                const double n_g = cache.gates[2 * H + j];
-                const double dhj = dh[j] + dc_time[l][j];  // dc_time unused; 0
-                const double dzg = dhj * (cache.h_prev[j] - n_g);
+                const double z_g = gates[j];
+                const double n_g = gates[2 * H + j];
+                const double dhj = dh[j] + dc_time[j];  // dc_time unused; 0
+                const double dzg = dhj * (h_prev[j] - n_g);
                 const double dn = dhj * (1.0 - z_g);
                 dh_prev[j] += dhj * z_g;
                 dz[j] = dzg * z_g * (1.0 - z_g);
                 dz[2 * H + j] = dn * (1.0 - n_g * n_g);
               }
-              // Candidate path: n pre-act depends on x and r*h_prev.
-              for (std::size_t j = 0; j < H; ++j) {
-                const double d = dz[2 * H + j];
-                if (math::is_zero(d)) continue;
-                gp.b[2 * H + j] += d;
-                auto gw = gp.w.row(2 * H + j);
-                for (std::size_t k = 0; k < dx.size(); ++k) {
-                  gw[k] += d * cache.x[k];
-                  dx[k] += d * p.w(2 * H + j, k);
-                }
-                auto gu = gp.u.row(2 * H + j);
-                for (std::size_t k = 0; k < H; ++k) {
-                  const double rh = cache.gates[H + k] * cache.h_prev[k];
-                  gu[k] += d * rh;
-                  drh[k] += d * p.u(2 * H + j, k);
-                }
+              // Candidate path: n's pre-activation reads x and the
+              // reset-gated state r*h_prev, rebuilt from the caches.
+              auto& rh = tw.scratch.rh;
+              for (std::size_t k = 0; k < H; ++k) {
+                rh[k] = gates[H + k] * h_prev[k];
+              }
+              for (std::size_t j = 2 * H; j < 3 * H; ++j) {
+                accumulate(j, rh, drh);
               }
               for (std::size_t j = 0; j < H; ++j) {
-                const double r_g = cache.gates[H + j];
-                const double dr = drh[j] * cache.h_prev[j];
+                const double r_g = gates[H + j];
+                const double dr = drh[j] * h_prev[j];
                 dh_prev[j] += drh[j] * r_g;
                 dz[H + j] = dr * r_g * (1.0 - r_g);
               }
               // z and r gate paths.
               for (std::size_t j = 0; j < 2 * H; ++j) {
-                const double d = dz[j];
-                if (math::is_zero(d)) continue;
-                gp.b[j] += d;
-                auto gw = gp.w.row(j);
-                for (std::size_t k = 0; k < dx.size(); ++k) {
-                  gw[k] += d * cache.x[k];
-                  dx[k] += d * p.w(j, k);
-                }
-                auto gu = gp.u.row(j);
-                for (std::size_t k = 0; k < H; ++k) {
-                  gu[k] += d * cache.h_prev[k];
-                  dh_prev[k] += d * p.u(j, k);
-                }
+                accumulate(j, h_prev, dh_prev);
               }
             }
-            dh_time[l] = dh_prev;
-            if (l > 0) {
+            std::ranges::copy(dh_prev, tw.dh_time.row(l).begin());
+            if (want_dx) {
               // dx feeds the lower layer's h at the same time step.
-              for (std::size_t j = 0; j < H; ++j) {
-                dx[j] += dh_time[l - 1][j];
-              }
-              dh = std::move(dx);
-              dh_time[l - 1].assign(H, 0.0);
+              const auto below = tw.dh_time.row(l - 1);
+              for (std::size_t j = 0; j < H; ++j) dx[j] += below[j];
+              std::swap(dh, dx);
+              std::ranges::fill(below, 0.0);
             }
           }
         }
       }
       // Average, clip, Adam.
       const double inv = denom > 0 ? 1.0 / denom : 0.0;
-      for (auto& gp : grads_) {
+      for (auto& gp : tw.grads) {
         for (double& v : gp.w.flat()) v *= inv;
         for (double& v : gp.u.flat()) v *= inv;
         for (double& v : gp.b) v *= inv;
@@ -412,10 +411,10 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
         clip(gp.u.flat(), cfg_.grad_clip);
         clip(gp.b, cfg_.grad_clip);
       }
-      for (double& v : head_gw_) v *= inv;
-      head_gb_ *= inv;
-      clip(head_gw_, cfg_.grad_clip);
-      head_gb_ = std::clamp(head_gb_, -cfg_.grad_clip, cfg_.grad_clip);
+      for (double& v : tw.head_gw) v *= inv;
+      tw.head_gb *= inv;
+      clip(tw.head_gw, cfg_.grad_clip);
+      tw.head_gb = std::clamp(tw.head_gb, -cfg_.grad_clip, cfg_.grad_clip);
       ++adam_t_;
       adam_step(cfg_.learning_rate);
     }
@@ -423,18 +422,19 @@ void SequenceRegressor::fit(std::span<const data::SequenceSample> samples,
 }
 
 void SequenceRegressor::adam_step(double lr) {
+  const TrainWorkspace& tw = train_.get();
   const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(adam_t_));
   const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(adam_t_));
   for (std::size_t l = 0; l < cells_.size(); ++l) {
     CellParams& p = cells_[l];
-    CellParams& gp = grads_[l];
+    const CellGrads& gp = tw.grads[l];
     adam_update(p.w.flat(), gp.w.flat(), p.mw.flat(), p.vw.flat(), lr, bc1, bc2);
     adam_update(p.u.flat(), gp.u.flat(), p.mu.flat(), p.vu.flat(), lr, bc1, bc2);
     adam_update(p.b, gp.b, p.mb, p.vb, lr, bc1, bc2);
   }
-  adam_update(head_.w, head_gw_, head_.mw, head_.vw, lr, bc1, bc2);
+  adam_update(head_.w, tw.head_gw, head_.mw, head_.vw, lr, bc1, bc2);
   std::span<double> bspan(&head_.b, 1);
-  std::span<const double> gbspan(&head_gb_, 1);
+  std::span<const double> gbspan(&tw.head_gb, 1);
   std::span<double> mspan(&head_.mb, 1);
   std::span<double> vspan(&head_.vb, 1);
   adam_update(bspan, gbspan, mspan, vspan, lr, bc1, bc2);

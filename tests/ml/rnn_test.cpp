@@ -5,7 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "highrpm/math/metrics.hpp"
 #include "highrpm/math/rng.hpp"
@@ -19,7 +22,9 @@ namespace highrpm::ml {
 struct SequenceRegressorTestPeer {
   static std::vector<double> direct_predict(const SequenceRegressor& m,
                                             const math::Matrix& steps) {
-    auto out = m.forward(m.x_scaler_.transform(steps), nullptr);
+    SequenceRegressor::TrainWorkspace tw;
+    m.forward(m.x_scaler_.transform(steps), tw);
+    std::vector<double> out(tw.pred);
     for (double& v : out) v = m.y_scaler_.inverse_one(v);
     return out;
   }
@@ -343,6 +348,83 @@ TEST(SequenceRegressor, PredictProjectedRejectsBadShapes) {
                std::invalid_argument);
   EXPECT_THROW(m.predict_projected_into(math::Matrix(4, g), 0, out, ws),
                std::invalid_argument);
+}
+
+/// A model's weights, bit for bit, as seen through its predictions on a
+/// fixed probe window.
+std::vector<std::uint64_t> fingerprint(const SequenceRegressor& m,
+                                       const math::Matrix& probe) {
+  std::vector<std::uint64_t> out;
+  for (const double v : m.predict(probe)) out.push_back(bits(v));
+  return out;
+}
+
+TEST(SequenceRegressor, FitsDoNotDependOnTheTrainingWorkspace) {
+  // fit() writes every training-workspace buffer before reading it, so a
+  // model whose workspace is warm from earlier fits of other window
+  // lengths fits exactly like a copy of it, whose workspace starts empty.
+  const auto w10 = make_sequence_problem(12, 10, 41);
+  const auto w6 = make_sequence_problem(9, 6, 43);
+  const std::span<const data::SequenceSample> s10(w10);
+  struct FitStep {
+    std::span<const data::SequenceSample> samples;
+    bool reset;
+    std::size_t epochs;  // 0 = the configured count
+  };
+  const FitStep steps[] = {
+      {s10.subspan(0, 1), false, 2},  // an online fine-tune, T = 10
+      {w6, false, 2},                 // T = 6, batches of 4, 4 and 1
+      {s10.subspan(5, 1), false, 2},  // back to T = 10
+      {w6, true, 0},                  // a reset=true refit
+      {s10.subspan(7, 3), false, 1},  // one batch of 3, T = 10
+  };
+  const math::Matrix& probe = w10[3].steps;
+  for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
+    SCOPED_TRACE(cell == CellType::kLstm ? "LSTM" : "GRU");
+    RnnConfig cfg;
+    cfg.cell = cell;
+    cfg.epochs = 3;
+    cfg.batch_size = 4;
+    SequenceRegressor warm(cfg);
+    warm.fit(w10);  // 12 windows: batches of 4 at T = 10
+    warm.fit(w6, /*reset=*/false, 1);
+    SequenceRegressor copy = warm;
+    ASSERT_EQ(fingerprint(copy, probe), fingerprint(warm, probe));
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+      warm.fit(steps[i].samples, steps[i].reset, steps[i].epochs);
+      copy.fit(steps[i].samples, steps[i].reset, steps[i].epochs);
+      ASSERT_EQ(fingerprint(copy, probe), fingerprint(warm, probe))
+          << "fit step " << i;
+    }
+    // A copy of the now-warm model starts cold too, and fits alike.
+    SequenceRegressor again = warm;
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+      warm.fit(steps[i].samples, steps[i].reset, steps[i].epochs);
+      again.fit(steps[i].samples, steps[i].reset, steps[i].epochs);
+      ASSERT_EQ(fingerprint(again, probe), fingerprint(warm, probe))
+          << "second pass, fit step " << i;
+    }
+  }
+}
+
+TEST(SequenceRegressor, RaggedFineTuneSamplesThrowBeforeTraining) {
+  // A fine-tune checks every sample before it trains on any: a short label
+  // vector is never read past its end, and a bad sample late in the list
+  // does not leave the model tuned on the batches before it.
+  const auto samples = make_sequence_problem(20, 6, 47);
+  RnnConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 4;
+  SequenceRegressor m(cfg);
+  m.fit(samples);
+  const auto before = fingerprint(m, samples[0].steps);
+  auto short_labels = samples;
+  short_labels[17].labels.pop_back();
+  EXPECT_THROW(m.fit(short_labels, /*reset=*/false, 1), std::invalid_argument);
+  auto wide = samples;
+  wide[17].steps = math::Matrix(6, 3);
+  EXPECT_THROW(m.fit(wide, /*reset=*/false, 1), std::invalid_argument);
+  EXPECT_EQ(fingerprint(m, samples[0].steps), before);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "highrpm/core/dynamic_trr.hpp"
@@ -20,6 +21,8 @@
 #include "highrpm/core/srr.hpp"
 #include "highrpm/math/matrix.hpp"
 #include "highrpm/math/rng.hpp"
+#include "highrpm/ml/mlp.hpp"
+#include "highrpm/ml/rnn.hpp"
 #include "highrpm/runtime/thread_pool.hpp"
 #include "highrpm/sim/platform.hpp"
 #include "highrpm/workloads/suites.hpp"
@@ -574,6 +577,117 @@ TEST(AllocRegression, FineTunedHighRpmPredictAfterGenerationBumpIsAllocationFree
   EXPECT_EQ(metered_allocs, 0u)
       << "HighRpm::on_tick allocated reprojecting the window after a "
          "fine-tune";
+}
+
+TEST(AllocRegression, FineTuningReadingTickIsAllocationFree) {
+  // An accepted IM reading fine-tunes the facade's LSTM on the window it
+  // completes (paper §4.2.2). The window is packed into DynamicTrr's own
+  // sample and the fit runs from the model's training workspace, so once
+  // both are warm a fine-tuning reading tick allocates nothing either.
+  measure::Collector collector;
+  std::vector<measure::CollectedRun> training;
+  training.push_back(collector.collect(sim::PlatformConfig::arm(),
+                                       workloads::fft(), 120, 7));
+  HighRpmConfig cfg;
+  cfg.dynamic_trr.rnn.epochs = 4;
+  cfg.srr.epochs = 10;
+  ASSERT_TRUE(cfg.dynamic_trr.online_finetune);
+  HighRpm model(cfg);
+  model.initial_learning(training);
+  model.reset_stream();
+
+  const auto stream = collector.collect(sim::PlatformConfig::arm(),
+                                        workloads::stream(), 120, 8);
+  const auto& features = stream.dataset.features();
+  const auto& labels = stream.dataset.target("P_NODE");
+  const DynamicTrr& trr = model.dynamic_trr();
+  std::vector<double> row(features.cols());
+  // Two fine-tunes (at ticks 10 and 20) warm the workspace; every later
+  // reading tick is metered.
+  const std::size_t warmup = 2 * cfg.miss_interval + 1;
+  std::uint64_t metered_allocs = 0;
+  std::size_t metered = 0;
+  for (std::size_t t = 0; t < features.rows(); ++t) {
+    const auto src = features.row(t);
+    std::copy(src.begin(), src.end(), row.begin());
+    const bool reading = t % cfg.miss_interval == 0;
+    if (t < warmup || !reading) {
+      (void)model.on_tick(row, reading ? std::optional<double>(labels[t])
+                                       : std::nullopt);
+      continue;
+    }
+    const std::size_t finetunes = trr.finetune_count();
+    const auto before = at::count();
+    {
+      const at::Armed armed;
+      const PowerEstimate est = model.on_tick(row, labels[t]);
+      ASSERT_TRUE(est.measured);
+    }
+    metered_allocs += at::count() - before;
+    ++metered;
+    ASSERT_EQ(trr.finetune_count(), finetunes + 1)
+        << "reading tick " << t << " did not fine-tune";
+  }
+  ASSERT_GT(metered, 0u);
+  EXPECT_EQ(metered_allocs, 0u)
+      << "a fine-tuning reading tick allocated (" << metered_allocs
+      << " allocations over " << metered << " ticks)";
+}
+
+TEST(AllocRegression, WarmModelFitsAreAllocationFree) {
+  // Both trainable networks fit from a workspace the model keeps across
+  // calls: once a fit has seen a shape, fitting that shape again (one
+  // window or a batch of several) makes no heap allocation.
+  math::Rng rng(5);
+  std::vector<data::SequenceSample> windows(6);
+  for (auto& w : windows) {
+    w.steps = make_features(10, rng);
+    w.labels = make_node_power(w.steps);
+  }
+  ml::RnnConfig rcfg;
+  rcfg.epochs = 2;
+  rcfg.batch_size = 4;
+  ml::SequenceRegressor rnn(rcfg);
+  rnn.fit(windows);
+  rnn.fit(windows, /*reset=*/false, 2);
+  const std::span<const data::SequenceSample> one(windows.data(), 1);
+  auto before = at::count();
+  {
+    const at::Armed armed;
+    rnn.fit(windows, /*reset=*/false, 2);
+    rnn.fit(one, /*reset=*/false, 2);
+  }
+  EXPECT_EQ(at::count() - before, 0u)
+      << "a warm SequenceRegressor::fit allocated";
+  // Copies neither clone nor share the workspace: a copy's first fit sizes
+  // its own.
+  ml::SequenceRegressor copy = rnn;
+  before = at::count();
+  {
+    const at::Armed armed;
+    copy.fit(one, /*reset=*/false, 2);
+  }
+  EXPECT_GT(at::count() - before, 0u)
+      << "a copied model started with a warm training workspace";
+
+  ml::MlpConfig mcfg;
+  mcfg.hidden = {8, 4};
+  mcfg.epochs = 3;
+  mcfg.batch_size = 8;
+  ml::Mlp mlp(mcfg);
+  const auto x = make_features(40, rng);
+  math::Matrix y(x.rows(), 2);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    y(r, 0) = 3.0 * x(r, 0) + x(r, 1);
+    y(r, 1) = x(r, 2) - x(r, 3);
+  }
+  mlp.fit(x, y);
+  before = at::count();
+  {
+    const at::Armed armed;
+    mlp.fit(x, y, /*reset=*/false, 2);
+  }
+  EXPECT_EQ(at::count() - before, 0u) << "a warm Mlp::fit allocated";
 }
 
 TEST(AllocRegression, AdaptiveFleetSteadyStateTickIsAllocationFree) {
